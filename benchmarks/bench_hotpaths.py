@@ -5,8 +5,7 @@ of — history append/window ops, LHS feature extraction, LambdaMART fit,
 a small end-to-end comparison, the sequence-model kernels (batched
 LSTM predictor inference, bucketed CRF/BiLSTM-CRF tagging, MC-dropout
 reuse, the per-round prediction cache), the million-sample pool
-paths (partial top-k selection, history append at scale, zero-copy
-worker dispatch), and the broker-less distributed grid (cells/sec at
+paths (partial top-k selection, history append at scale), and the broker-less distributed grid (cells/sec at
 1/2/4 workers, stale-lease reclaim latency per backend) — against the
 retained ``_*_reference``/oracle implementations of the per-sample
 code paths, and writes the measurements to ``BENCH_hotpaths.json``,
@@ -36,7 +35,6 @@ import argparse
 import json
 import multiprocessing
 import os
-import pickle
 import shutil
 import sys
 import tempfile
@@ -628,70 +626,28 @@ def bench_pool_selection(n: int, k: int, repeats: int) -> dict:
 
 
 def bench_pool_history_append(n: int, rounds: int, repeats: int) -> dict:
-    """Per-backend cost of recording ``rounds`` score rows over ``n`` samples.
+    """Cost of recording ``rounds`` score rows over ``n`` samples.
 
-    All three backends run the same validated scatter-write; the spread
-    shows what the shared-memory / mmap indirection costs at pool scale.
+    Each round scores a shrinking pool, so every append is the validated
+    scatter-write into the doubling buffer that a real run performs.
     """
     rng = np.random.default_rng(23)
     per_round = _round_indices(rng, n, rounds)
     score_rows = [rng.random(len(indices)) for indices in per_round]
 
-    def run(backend: str) -> None:
-        store = HistoryStore(n, backend=backend)
+    def run() -> None:
+        store = HistoryStore(n)
         for round_index, (indices, scores) in enumerate(
             zip(per_round, score_rows), 1
         ):
             store.append(round_index, indices, scores)
-        store.close()
 
-    timings = {
-        backend: _best_of(lambda b=backend: run(b), repeats)
-        for backend in ("local", "shared", "mmap")
-    }
+    seconds = _best_of(run, repeats)
     return {
         "n_samples": n,
         "rounds": rounds,
-        **{f"{backend}_seconds": seconds for backend, seconds in timings.items()},
-        "shared_overhead": timings["shared"] / timings["local"],
-        "mmap_overhead": timings["mmap"] / timings["local"],
-    }
-
-
-def bench_pool_worker_dispatch(n: int, rounds: int, repeats: int) -> dict:
-    """Handing a history store to a worker: pickle copy vs descriptor attach.
-
-    The pickle path is what crossing a process boundary by value costs —
-    the full score matrix serialised and rebuilt.  The attach path maps
-    the owner's shared segment by name: O(1) in pool size.  Process
-    startup is excluded from both so the ratio isolates the transfer.
-    """
-    rng = np.random.default_rng(24)
-    store = HistoryStore(n, strategy_name="entropy", backend="shared")
-    for round_index, indices in enumerate(_round_indices(rng, n, rounds), 1):
-        store.append(round_index, indices, rng.random(len(indices)))
-
-    view = HistoryStore.attach(store.share_descriptor())
-    np.testing.assert_array_equal(view._matrix, store._matrix)
-    view.close()
-
-    def round_trip_pickle() -> None:
-        pickle.loads(pickle.dumps(store))
-
-    def round_trip_attach() -> None:
-        HistoryStore.attach(store.share_descriptor()).close()
-
-    pickle_seconds = _best_of(round_trip_pickle, max(1, repeats - 1))
-    attach_seconds = _best_of(round_trip_attach, repeats)
-    payload_bytes = store._matrix.nbytes
-    store.close()
-    return {
-        "n_samples": n,
-        "rounds": rounds,
-        "matrix_bytes": payload_bytes,
-        "pickle_seconds": pickle_seconds,
-        "attach_seconds": attach_seconds,
-        "speedup": pickle_seconds / attach_seconds,
+        "seconds": seconds,
+        "per_append_ms": seconds / rounds * 1e3,
     }
 
 
@@ -717,19 +673,8 @@ def run_pool_scale(quick: bool, repeats: int, output: Path) -> dict:
         n=append_n, rounds=10 if quick else 30, repeats=repeats
     )
     print(
-        f"  history append n={append_n:,}: shared "
-        f"{results['history_append']['shared_overhead']:.2f}x local, mmap "
-        f"{results['history_append']['mmap_overhead']:.2f}x local"
-    )
-
-    dispatch_n = 50_000 if quick else 1_000_000
-    results["worker_dispatch"] = bench_pool_worker_dispatch(
-        n=dispatch_n, rounds=10 if quick else 30, repeats=repeats
-    )
-    print(
-        f"  worker dispatch n={dispatch_n:,}: attach "
-        f"{results['worker_dispatch']['speedup']:6.1f}x vs pickle copy "
-        f"({results['worker_dispatch']['matrix_bytes'] / 1e6:.0f} MB matrix)"
+        f"  history append n={append_n:,}: "
+        f"{results['history_append']['per_append_ms']:.1f} ms per round"
     )
 
     payload = {

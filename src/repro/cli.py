@@ -169,7 +169,6 @@ def _experiment_from_flags(args: argparse.Namespace) -> ExperimentSpec:
             rounds=args.rounds,
             repeats=args.repeats,
             seed=args.seed,
-            history_backend=args.history_backend,
             training_mode=args.training_mode,
         ),
         runner={
@@ -782,12 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--on-error", choices=["raise", "skip"], default="raise",
                          help="'skip' drops permanently failed cells from the "
                               "averages (with a warning) instead of aborting")
-    compare.add_argument("--history-backend", choices=["local", "shared", "mmap"],
-                         default="local",
-                         help="HistoryStore buffer backend; 'shared'/'mmap' give "
-                              "the score matrix an OS-level name other processes "
-                              "attach to zero-copy (results are identical across "
-                              "backends)")
     compare.add_argument("--training-mode", choices=["cold", "warm"],
                          default="cold",
                          help="'cold' (default) refits each round's model from "

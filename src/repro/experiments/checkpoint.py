@@ -62,6 +62,7 @@ from ..formats import (
 )
 from ..ioutil import atomic_write_text, check_fingerprint, validate_envelope
 from ..service.store import JsonSessionStore
+from ..specs.experiment import drop_legacy_options, drop_legacy_snapshot_options
 from .config import ExperimentConfig
 
 
@@ -80,19 +81,6 @@ def cell_stem(strategy: str, repeat: int) -> str:
     return f"{slug}.{digest}_r{int(repeat)}"
 
 
-# -- history store -----------------------------------------------------------
-
-
-def history_to_dict(history: HistoryStore) -> dict:
-    """Serialise a history store as per-round sparse (indices, scores) rows."""
-    return history.to_dict()
-
-
-def history_from_dict(payload: dict) -> HistoryStore:
-    """Rebuild a history store by replaying the recorded rounds."""
-    return HistoryStore.from_dict(payload)
-
-
 # -- ALResult ----------------------------------------------------------------
 
 
@@ -102,7 +90,7 @@ def result_to_dict(result: ALResult) -> dict:
         "strategy_name": result.strategy_name,
         "records": [record_to_dict(record) for record in result.records],
         "selection_order": [selected.tolist() for selected in result.selection_order],
-        "history": history_to_dict(result.history),
+        "history": result.history.to_dict(),
     }
 
 
@@ -116,7 +104,7 @@ def result_from_dict(payload: dict) -> ALResult:
     return ALResult(
         strategy_name=str(payload["strategy_name"]),
         records=records,
-        history=history_from_dict(payload["history"]),
+        history=HistoryStore.from_dict(payload["history"]),
         final_model=None,
         selection_order=[
             np.asarray(selected, dtype=np.int64)
@@ -181,8 +169,7 @@ class CheckpointStore:
             "initial_size": config.initial_size,
             "repeats": config.repeats,
             "seed": config.seed,
-            # Part of the fingerprint (unlike history_backend below):
-            # warm runs follow a different optimisation trajectory, so a
+            # Warm runs follow a different optimisation trajectory, so a
             # cold checkpoint must not satisfy a warm run or vice versa.
             "training_mode": config.training_mode,
         }
@@ -190,11 +177,6 @@ class CheckpointStore:
             # Key present only when tracking, so fingerprints (and
             # checkpoint bytes) of non-tracking runs are unchanged.
             self._config_fingerprint["track_flips"] = True
-        # Recorded in every payload for provenance, but deliberately NOT
-        # part of the fingerprint: history backends are result-neutral
-        # (byte-identical runs), so resuming under a different backend is
-        # legal and must not invalidate existing checkpoints.
-        self._history_backend = config.history_backend
 
     def _cell_specs(self, strategy: str) -> dict:
         """The spec fingerprint stored in (and expected of) a cell file."""
@@ -232,7 +214,6 @@ class CheckpointStore:
             "repeat": int(repeat),
             "seed": int(seed),
             "config": self._config_fingerprint,
-            "history_backend": self._history_backend,
             "specs": self._cell_specs(strategy),
             "result": result_to_dict(result),
         }
@@ -265,6 +246,7 @@ class CheckpointStore:
             raise CheckpointError(
                 f"unsupported checkpoint version {payload.get('version')!r} in {path}"
             )
+        payload = drop_legacy_options(payload, CheckpointError)
         check_fingerprint(
             payload,
             self._fingerprint(strategy, repeat, seed),
@@ -303,7 +285,6 @@ class CheckpointStore:
             "repeat": int(repeat),
             "seed": int(seed),
             "config": self._config_fingerprint,
-            "history_backend": self._history_backend,
             "specs": self._cell_specs(strategy),
             "session": snapshot,
         }
@@ -345,10 +326,11 @@ class CheckpointStore:
             source=f"session snapshot {path}",
             hint="clear the checkpoint directory or rerun without resume",
         )
+        drop_legacy_options(payload, CheckpointError)
         session = payload.get("session")
         if not isinstance(session, dict):
             raise CheckpointError(f"corrupt session snapshot {path}: no session")
-        return session
+        return drop_legacy_snapshot_options(session, CheckpointError)
 
     def discard_session(self, strategy: str, repeat: int) -> None:
         """Remove the cell's in-flight snapshot once the cell completes."""

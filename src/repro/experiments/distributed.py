@@ -1008,11 +1008,15 @@ def _science_document(experiment_doc: dict) -> dict:
 
     ``runner`` and ``report`` options (worker counts, timeouts, plot
     flags) do not affect the produced bytes, so re-opening a queue with
-    different ones is legal; everything else must match exactly.
+    different ones is legal; everything else must match exactly.  The
+    document is normalised through an :class:`ExperimentSpec` round trip
+    first, so an envelope written with options this build drops still
+    matches the document it came from.
     """
+    normalised = ExperimentSpec.from_dict(experiment_doc).to_dict()
     return {
         key: value
-        for key, value in experiment_doc.items()
+        for key, value in normalised.items()
         if key not in ("runner", "report")
     }
 

@@ -296,7 +296,6 @@ def _run_cell(
             train_dataset,
             test_dataset,
             metric=metric,
-            history_backend=config.history_backend,
         )
     else:
         engine = SessionEngine(
@@ -309,7 +308,6 @@ def _run_cell(
             initial_size=config.initial_size,
             metric=metric,
             seed_or_rng=int(seed),
-            history_backend=config.history_backend,
             training_mode=config.training_mode,
             track_flips=config.track_flips,
         )

@@ -52,6 +52,7 @@ from ..specs import (
     default_model_spec,
     parse_strategy_shorthand,
 )
+from ..specs.experiment import drop_legacy_snapshot_options
 from .events import SessionEventFeed
 from .store import SessionStore
 
@@ -323,10 +324,11 @@ class SessionService:
             source=f"stored session {session_id!r}",
         )
         recipe = payload["recipe"]
+        snapshot = drop_legacy_snapshot_options(payload["session"], SessionError)
         train, test, model, strategy, _settings = build_session_components(recipe)
         feed = SessionEventFeed()
         engine = SessionEngine.restore(
-            payload["session"], model, strategy, train, test, observers=[feed]
+            snapshot, model, strategy, train, test, observers=[feed]
         )
         live = _LiveSession(recipe, engine, feed, store_name, row.version)
         with self._lock:
@@ -574,6 +576,20 @@ def _error_response(error: ReproError) -> "tuple[int, dict]":
     return status, {"error": str(error), "error_type": type(error).__name__}
 
 
+def _after_cursor(query: dict) -> int:
+    """The events route's ``after`` query value as a non-negative int."""
+    raw = query.get("after", 0)
+    try:
+        after = int(raw)
+    except (TypeError, ValueError):
+        after = -1
+    if after < 0:
+        raise ServiceError(
+            f"'after' must be a non-negative integer, got {raw!r}", status=400
+        )
+    return after
+
+
 def dispatch(
     service: SessionService,
     method: str,
@@ -628,8 +644,8 @@ def dispatch(
             ("POST", "propose"): partial(service.propose, session_id),
             ("POST", "ingest"): partial(service.ingest, session_id, body or {}),
             ("GET", "result"): partial(service.result, session_id),
-            ("GET", "events"): partial(
-                service.events, session_id, after=int(query.get("after", 0))
+            ("GET", "events"): lambda: service.events(
+                session_id, after=_after_cursor(query)
             ),
         }
         handler = handlers.get((method, action))

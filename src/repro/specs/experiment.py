@@ -67,6 +67,38 @@ RUNNER_DEFAULTS = {
 #: Report options an experiment document may set (with their defaults).
 REPORT_DEFAULTS = {"targets": [], "plot": False}
 
+#: The removed ``history_backend`` option and the values it could take.
+#: Every value gave byte-identical results, so documents, snapshots and
+#: checkpoints written while it existed still load with the key dropped.
+_LEGACY_OPTION = "history_backend"
+_LEGACY_VALUES = ("local", "shared", "mmap")
+
+
+def drop_legacy_options(section: dict, error_cls: type = SpecError) -> dict:
+    """``section`` without the removed ``history_backend`` key.
+
+    Every reader of persisted experiment shapes, session-snapshot
+    configs and checkpoint payloads passes them through here.  The key
+    is accepted only with one of its former values; anything else raises
+    ``error_cls`` (the calling layer's typed error).
+    """
+    if _LEGACY_OPTION not in section:
+        return section
+    value = section[_LEGACY_OPTION]
+    if value not in _LEGACY_VALUES:
+        raise error_cls(
+            f"{_LEGACY_OPTION} must be one of {_LEGACY_VALUES}, got {value!r}"
+        )
+    return {key: item for key, item in section.items() if key != _LEGACY_OPTION}
+
+
+def drop_legacy_snapshot_options(snapshot, error_cls: type):
+    """A session snapshot with :func:`drop_legacy_options` applied to its config."""
+    config = snapshot.get("config") if isinstance(snapshot, dict) else None
+    if not isinstance(config, dict):
+        return snapshot
+    return {**snapshot, "config": drop_legacy_options(config, error_cls)}
+
 
 def default_model_spec(task: str, epochs: int = 5) -> Spec:
     """The CLI's historical default model for a task family, as a spec."""
@@ -128,7 +160,6 @@ class ExperimentSpec:
             "initial_size": self.config.initial_size,
             "repeats": self.config.repeats,
             "seed": self.config.seed,
-            "history_backend": self.config.history_backend,
             "training_mode": self.config.training_mode,
         }
         if self.config.track_flips:
@@ -179,9 +210,10 @@ class ExperimentSpec:
         shape = payload.get("experiment", {})
         if not isinstance(shape, dict):
             raise SpecError("experiment 'experiment' section must be a dict")
+        shape = drop_legacy_options(shape)
         unknown_shape = set(shape) - {
             "batch_size", "rounds", "initial_size", "repeats", "seed",
-            "history_backend", "training_mode", "track_flips",
+            "training_mode", "track_flips",
         }
         if unknown_shape:
             raise SpecError(f"unknown experiment option(s): {sorted(unknown_shape)}")

@@ -50,14 +50,14 @@ from ..exceptions import SpecError
 from ..formats import SWEEP_FORMAT, SWEEP_VERSION
 from ..ioutil import atomic_write_json
 from .core import Spec, as_spec
-from .experiment import ExperimentSpec
+from .experiment import ExperimentSpec, drop_legacy_options
 from .metrics import build_pipeline
 from .transforms import build_transform
 
 #: Experiment-shape keys a cell's ``experiment`` override may set.
 _SHAPE_KEYS = {
     "batch_size", "rounds", "initial_size", "repeats", "seed",
-    "history_backend", "training_mode", "track_flips",
+    "training_mode", "track_flips",
 }
 
 
@@ -85,6 +85,7 @@ class SweepAxisCell:
         experiment = payload.get("experiment", {})
         if not isinstance(experiment, Mapping):
             raise SpecError(f"axis {axis!r} cell {name!r}: 'experiment' must be a dict")
+        experiment = drop_legacy_options(experiment)
         unknown_shape = set(experiment) - _SHAPE_KEYS
         if unknown_shape:
             raise SpecError(

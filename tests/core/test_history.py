@@ -1,5 +1,7 @@
 """Tests for the HistoryStore — the paper's central data structure."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -117,6 +119,57 @@ class TestAmortizedGrowth:
         for round_index, value in enumerate(values, start=1):
             history.append(round_index, np.array([0]), np.array([value]))
         assert np.allclose(history.sequence(0), values)
+
+
+def _filled_store(n: int = 40, rounds: int = 6) -> HistoryStore:
+    """A store whose rounds shrink the pool by one sample each."""
+    rng = np.random.default_rng(5)
+    store = HistoryStore(n, strategy_name="entropy")
+    for round_index in range(1, rounds + 1):
+        indices = np.sort(rng.choice(n, size=n - round_index, replace=False))
+        store.append(round_index, indices, rng.random(len(indices)))
+    return store
+
+
+class TestRoundTrip:
+    def test_dict_round_trip(self):
+        store = _filled_store()
+        rebuilt = HistoryStore.from_dict(store.to_dict())
+        np.testing.assert_array_equal(rebuilt._matrix, store._matrix)
+        assert rebuilt.rounds == store.rounds
+        assert rebuilt.strategy_name == store.strategy_name
+        assert rebuilt.to_dict() == store.to_dict()
+
+    def test_pickle_round_trip(self):
+        store = _filled_store()
+        store.append_labels(6, np.arange(3), np.array([0, 1, 0]))
+        clone = pickle.loads(pickle.dumps(store))
+        np.testing.assert_array_equal(clone._matrix, store._matrix)
+        assert clone.rounds == store.rounds
+        assert clone.strategy_name == store.strategy_name
+        indices = np.arange(40)
+        np.testing.assert_array_equal(
+            clone.current_scores(indices), store.current_scores(indices)
+        )
+        [(round_index, label_indices, labels)] = list(clone.label_rounds())
+        assert round_index == 6
+        np.testing.assert_array_equal(label_indices, np.arange(3))
+        np.testing.assert_array_equal(labels, [0, 1, 0])
+
+    def test_pickle_payload_is_logical_size(self):
+        """Pool workers return histories by pickle: the payload carries
+        the recorded rounds, never the doubling headroom."""
+        store = HistoryStore(1000)
+        for round_index in range(1, 10):  # 9 rounds -> capacity 16
+            store.append(round_index, np.arange(1000), np.zeros(1000))
+        assert store.capacity == 16
+        state = store.__getstate__()
+        assert state["matrix"].shape == (9, 1000)
+        assert len(state["round_ids"]) == 9
+        payload = len(pickle.dumps(store))
+        assert payload < store.nbytes() + 4096 < store.capacity_nbytes()
+        clone = pickle.loads(pickle.dumps(store))
+        np.testing.assert_array_equal(clone._matrix, store._matrix)
 
 
 class TestCurrentScoresFastPath:

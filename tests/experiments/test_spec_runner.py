@@ -54,33 +54,6 @@ class TestSpawnPool:
         )
         _assert_identical(serial, spawned)
 
-    def test_spawn_on_shared_history_backend_matches_local_serial(
-        self, text_dataset
-    ):
-        """Backends are result-neutral across process boundaries: spawn
-        workers running shared-memory history stores reproduce the
-        serial local-backend grid byte for byte, and the returned
-        histories keep their backend through the result pickling."""
-        train, test = _pool(text_dataset)
-        serial = run_comparison(
-            MODEL_SPEC, STRATEGY_SPECS, train, test, config=CONFIG, n_jobs=1
-        )
-        shared_config = ExperimentConfig(
-            batch_size=5, rounds=2, repeats=2, seed=11, history_backend="shared"
-        )
-        spawned = run_comparison(
-            MODEL_SPEC, STRATEGY_SPECS, train, test, config=shared_config,
-            n_jobs=2, start_method="spawn",
-        )
-        _assert_identical(serial, spawned)
-        for name in spawned:
-            for left, right in zip(serial[name].runs, spawned[name].runs):
-                assert right.history.backend == "shared"
-                np.testing.assert_array_equal(
-                    left.history._matrix, right.history._matrix
-                )
-                right.history.close()
-
     def test_fork_matches_serial(self, text_dataset):
         train, test = _pool(text_dataset)
         serial = run_comparison(

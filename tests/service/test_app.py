@@ -266,6 +266,34 @@ class TestDispatch:
         assert status == 400
         assert payload["error_type"] == "IngestError"
 
+    @pytest.mark.parametrize("after", ["x", "1.5", "-1"])
+    def test_bad_events_cursor_is_400(self, service, after):
+        dispatch(service, "POST", "/sessions", body={"recipe": RECIPE, "id": "s1"})
+        status, payload = dispatch(
+            service, "GET", "/sessions/s1/events", query={"after": after}
+        )
+        assert status == 400
+        assert payload["error_type"] == "ServiceError"
+
+    def test_events_cursor_filters(self, service):
+        dispatch(service, "POST", "/sessions", body={"recipe": RECIPE, "id": "s1"})
+        dispatch(service, "POST", "/sessions/s1/propose")
+        status, feed = dispatch(service, "GET", "/sessions/s1/events")
+        assert status == 200 and feed["events"]
+        status, tail = dispatch(
+            service, "GET", "/sessions/s1/events",
+            query={"after": str(feed["last_seq"])},
+        )
+        assert status == 200 and tail["events"] == []
+
+    def test_propose_ignores_the_events_cursor(self, service):
+        dispatch(service, "POST", "/sessions", body={"recipe": RECIPE, "id": "s1"})
+        status, payload = dispatch(
+            service, "POST", "/sessions/s1/propose", query={"after": "x"}
+        )
+        assert status == 200
+        assert payload["id"] == "s1"
+
     def test_client_re_raises_domain_exceptions(self, client):
         client.create(RECIPE, session_id="s1")
         client.propose("s1")
