@@ -84,6 +84,17 @@ RECIPE_DEFAULTS = {
 #: Engine-shape settings every recipe flavour resolves to.
 _SETTING_KEYS = ("batch_size", "rounds", "initial_size", "seed", "training_mode")
 
+#: Integer flat-recipe fields and their minimum (``initial_size`` may
+#: also be null, meaning "one batch").
+_RECIPE_INTS = {
+    "batch_size": 1,
+    "rounds": 1,
+    "epochs": 1,
+    "window": 1,
+    "initial_size": 1,
+    "seed": 0,
+}
+
 
 def _normalized_recipe(recipe) -> dict:
     """Fill a recipe's optional keys with :data:`RECIPE_DEFAULTS`.
@@ -108,6 +119,47 @@ def _normalized_recipe(recipe) -> dict:
     for key, value in RECIPE_DEFAULTS.items():
         normalized.setdefault(key, value)
     return normalized
+
+
+def _check_recipe_fields(recipe: dict) -> None:
+    """Type-check a normalized flat recipe before anything is built.
+
+    Every bad field raises :class:`ConfigurationError` (HTTP 400) instead
+    of escaping a builder as ``ValueError``/``TypeError``, and a float is
+    never truncated into an integer field.  Range checks beyond these
+    (``scale > 0``, ``0 < test_fraction < 1``) stay with the builders.
+    """
+    for key in ("dataset", "strategy"):
+        if not isinstance(recipe[key], str):
+            raise ConfigurationError(
+                f"recipe {key!r} must be a string, got {recipe[key]!r}"
+            )
+    if recipe["ranker"] is not None and not isinstance(recipe["ranker"], str):
+        raise ConfigurationError(
+            f"recipe 'ranker' must be a path or null, got {recipe['ranker']!r}"
+        )
+    for key, minimum in _RECIPE_INTS.items():
+        value = recipe[key]
+        if key == "initial_size" and value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigurationError(
+                f"recipe {key!r} must be an integer, got {value!r}"
+            )
+        if value < minimum:
+            raise ConfigurationError(
+                f"recipe {key!r} must be >= {minimum}, got {value}"
+            )
+    for key in ("scale", "test_fraction"):
+        value = recipe[key]
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise ConfigurationError(
+                f"recipe {key!r} must be a finite number, got {value!r}"
+            )
 
 
 def build_session_components(recipe: dict):
@@ -161,6 +213,7 @@ def build_session_components(recipe: dict):
             "track_flips": spec.config.track_flips,
         }
         return train, test, model, strategy, settings
+    _check_recipe_fields(recipe)
     dataset, task = build_dataset(
         Spec(kind=recipe["dataset"], params={"scale": recipe["scale"], "seed": recipe["seed"]})
     )
@@ -457,9 +510,12 @@ class SessionService:
 
         ``body`` is ``{"oracle": true}`` (answer from the dataset's own
         labels, the smoke-test mode) or ``{"indices": [...], "labels":
-        [...]}``.  The commit happens before the reply, so the persisted
-        document always lands on a round boundary; the (long) retrain
-        runs on the next :meth:`propose`.
+        [...]}``.  Only an explicit ``"oracle": true`` uses the dataset's
+        labels: a body without a ``labels`` list is rejected, so a typo'd
+        field can never commit ground truth by accident.  The commit
+        happens before the reply, so the persisted document always lands
+        on a round boundary; the (long) retrain runs on the next
+        :meth:`propose`.
         """
         if not isinstance(body, dict):
             raise ServiceError("ingest body must be a JSON object", status=400)
@@ -471,15 +527,11 @@ class SessionService:
                     f"session is not awaiting labels (state={engine.state.value!r}); "
                     "propose first"
                 )
-            if body.get("oracle"):
+            answer = _ingest_answer(body)
+            if answer is None:
                 engine.ingest_labels(engine.pending)
             else:
-                indices = body.get("indices")
-                if not isinstance(indices, list):
-                    raise IngestError(
-                        "ingest body needs 'indices' (a list) or 'oracle': true"
-                    )
-                engine.ingest_labels(indices, body.get("labels"))
+                engine.ingest_labels(*answer)
             engine.step()  # commit the batch before the (long) retrain
             self._save(session_id, live)
             return {
@@ -547,6 +599,36 @@ class SessionService:
             "default_store": self.default_store,
             "live_sessions": len(self._live),
         }
+
+
+def _ingest_answer(body: dict) -> "tuple[list, list] | None":
+    """An ingest body's ``(indices, labels)``, or ``None`` for the oracle.
+
+    Only ``"oracle": true`` answers from the dataset's own labels; any
+    other body must carry an ``indices`` list of int64-range integers and
+    a ``labels`` list.  JSON floats, strings, nulls and booleans are
+    rejected rather than coerced, so ``1.5`` never becomes sample 1.
+    """
+    oracle = body.get("oracle", False)
+    if not isinstance(oracle, bool):
+        raise IngestError(f"'oracle' must be true or false, got {oracle!r}")
+    if oracle:
+        return None
+    indices = body.get("indices")
+    if not isinstance(indices, list):
+        raise IngestError("ingest body needs 'indices' (a list) or 'oracle': true")
+    for value in indices:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise IngestError(f"indices must be integers, got {value!r}")
+        if not -(2**63) <= value < 2**63:
+            raise IngestError(f"index {value} is out of range")
+    labels = body.get("labels")
+    if not isinstance(labels, list):
+        raise IngestError(
+            "ingest body needs 'labels' (a list, one per index) unless "
+            "'oracle' is true"
+        )
+    return indices, labels
 
 
 #: Exception class -> HTTP status, checked in order (subclasses first).

@@ -5,7 +5,7 @@ characterised with the MK test (the paper cites Hamed & Rao 1998, the
 modified test for autocorrelated data).  Both variants are implemented:
 
 * :func:`mann_kendall_test` — the classical test with the tie-corrected
-  variance and the normal approximation;
+  variance and the normal approximation (p-values via ``math.erfc``);
 * ``hamed_rao=True`` — variance inflated by the effective-sample-size
   correction computed from the ranks' autocorrelation.
 
@@ -19,11 +19,11 @@ test stays as the reference oracle; see the equivalence tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.stats import norm
 
 from ..exceptions import ConfigurationError
 
@@ -62,6 +62,20 @@ class MKResult:
     p_value: float
     tau: float
     trend: Trend
+
+
+#: ``math.erfc`` applied elementwise (numpy has no erfc ufunc).
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _two_sided_p_value(z: "float | np.ndarray") -> np.ndarray:
+    """Two-sided standard-normal p-value ``erfc(|z| / sqrt(2))``.
+
+    Equal to ``2 (1 - Phi(|z|))`` but without the cancellation: it stays
+    positive in the far tail, where ``1 - Phi`` rounds to 0.  The scalar
+    and batched tests both call this, so their p-values agree bit for bit.
+    """
+    return np.asarray(_erfc(np.abs(z) / math.sqrt(2.0)), dtype=np.float64)
 
 
 def _s_statistic(values: np.ndarray) -> float:
@@ -212,7 +226,7 @@ def mann_kendall_batch(sequences: np.ndarray) -> MKBatchResult:
     variance = np.where(testable, variance, 0.0)
     z = np.where(testable, z, 0.0)
     tau = np.where(testable, tau, 0.0)
-    p_value = np.where(testable, 2.0 * (1.0 - norm.cdf(np.abs(z))), 1.0)
+    p_value = np.where(testable, _two_sided_p_value(z), 1.0)
     return MKBatchResult(
         s=s, variance=variance, z=z, p_value=p_value, tau=tau, lengths=lengths
     )
@@ -263,7 +277,7 @@ def mann_kendall_test(
         z = (s + 1.0) / np.sqrt(variance)
     else:
         z = 0.0
-    p_value = float(2.0 * (1.0 - norm.cdf(abs(z))))
+    p_value = float(_two_sided_p_value(z))
     n = len(series)
     tau = s / (n * (n - 1) / 2.0)
     if p_value < alpha and s > 0:

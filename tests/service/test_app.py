@@ -266,6 +266,95 @@ class TestDispatch:
         assert status == 400
         assert payload["error_type"] == "IngestError"
 
+    def _assert_ingest_rejected(self, service, make_body):
+        """``make_body(pending)`` is a 400 IngestError that commits nothing."""
+        dispatch(service, "POST", "/sessions", body={"recipe": RECIPE, "id": "s1"})
+        _, proposal = dispatch(service, "POST", "/sessions/s1/propose")
+        pending = proposal["indices"]
+        status, payload = dispatch(
+            service, "POST", "/sessions/s1/ingest", body=make_body(pending)
+        )
+        assert status == 400
+        assert payload["error_type"] == "IngestError"
+        _, after = dispatch(service, "GET", "/sessions/s1")
+        assert after["state"] == "await_labels"
+        assert after["session"]["pending"] == pending
+        # The session still accepts a well-formed answer afterwards.
+        status, _ = dispatch(
+            service, "POST", "/sessions/s1/ingest",
+            body={"indices": pending, "labels": [0] * len(pending)},
+        )
+        assert status == 200
+
+    @pytest.mark.parametrize(
+        "make_body",
+        [
+            lambda pending: {"indices": pending},
+            lambda pending: {"indices": pending, "labels": None},
+            lambda pending: {"indices": pending, "label": [0] * len(pending)},
+            lambda pending: {"oracle": "true"},
+            lambda pending: {"oracle": 1, "indices": pending},
+        ],
+        ids=["no-labels", "null-labels", "typo-labels", "string-oracle", "int-oracle"],
+    )
+    def test_ground_truth_needs_explicit_oracle(self, service, make_body):
+        self._assert_ingest_rejected(service, make_body)
+
+    @pytest.mark.parametrize(
+        "bad", ["a", 1e20, None, 1.5, True, 2**64],
+        ids=["str", "1e20", "null", "1.5", "bool", "2**64"],
+    )
+    def test_non_integer_index_is_400(self, service, bad):
+        self._assert_ingest_rejected(
+            service,
+            lambda pending: {
+                "indices": [bad] + pending[1:], "labels": [0] * len(pending)
+            },
+        )
+
+    def test_client_ingest_without_labels_is_rejected(self, client):
+        client.create(RECIPE, session_id="s1")
+        pending = client.propose("s1")["indices"]
+        with pytest.raises(IngestError, match="labels"):
+            client.ingest("s1", indices=pending)
+        assert client.status("s1")["state"] == "await_labels"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("scale", "big"),
+            ("scale", None),
+            ("scale", float("nan")),
+            pytest.param("scale", 10**400, id="scale-10**400"),
+            ("rounds", "x"),
+            ("rounds", 1.5),
+            ("rounds", True),
+            ("batch_size", None),
+            ("batch_size", 2.5),
+            ("batch_size", 0),
+            ("epochs", "3"),
+            ("epochs", 1.5),
+            ("initial_size", "x"),
+            ("initial_size", 1.5),
+            ("initial_size", 0),
+            ("seed", "x"),
+            ("seed", None),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("window", "x"),
+            ("test_fraction", "x"),
+            ("dataset", None),
+            ("strategy", 1),
+            ("ranker", 1),
+        ],
+    )
+    def test_bad_recipe_field_is_400(self, service, field, value):
+        recipe = dict(RECIPE, **{field: value})
+        status, payload = dispatch(service, "POST", "/sessions", body={"recipe": recipe})
+        assert status == 400
+        assert payload["error_type"] == "ConfigurationError"
+        assert dispatch(service, "GET", "/sessions")[1]["sessions"] == []
+
     @pytest.mark.parametrize("after", ["x", "1.5", "-1"])
     def test_bad_events_cursor_is_400(self, service, after):
         dispatch(service, "POST", "/sessions", body={"recipe": RECIPE, "id": "s1"})

@@ -1,5 +1,7 @@
 """Tests for the Mann-Kendall trend test."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 from repro.exceptions import ConfigurationError
 from repro.timeseries.mann_kendall import (
     Trend,
+    _two_sided_p_value,
     mann_kendall_batch,
     mann_kendall_test,
 )
@@ -75,6 +78,47 @@ class TestHamedRao:
         series = rng.normal(size=60)
         corrected = mann_kendall_test(series, hamed_rao=True)
         assert corrected.variance > 0
+
+
+class TestPValue:
+    """p = erfc(|z| / sqrt 2): the two-sided normal tail without 1 - cdf."""
+
+    def test_matches_scipy_normal_oracle(self):
+        norm = pytest.importorskip("scipy.stats").norm
+        z = np.linspace(-8.0, 8.0, 16001)
+        expected = 2.0 * (1.0 - norm.cdf(np.abs(z)))
+        assert np.abs(_two_sided_p_value(z) - expected).max() <= 1e-15
+
+    def test_test_and_batch_match_scipy_oracle(self):
+        norm = pytest.importorskip("scipy.stats").norm
+        rng = np.random.default_rng(7)
+        matrix = np.cumsum(rng.normal(size=(60, 15)), axis=1)
+        batch = mann_kendall_batch(matrix)
+        for row, values in enumerate(matrix):
+            result = mann_kendall_test(values)
+            expected = 2.0 * (1.0 - norm.cdf(abs(result.z)))
+            assert abs(result.p_value - expected) <= 1e-15
+            assert abs(batch.p_value[row] - expected) <= 1e-15
+
+    def test_tail_stays_positive_where_one_minus_cdf_underflows(self):
+        z = 9.0
+        cdf = 0.5 * math.erfc(-z / math.sqrt(2.0))  # Phi(z), rounds to 1.0
+        assert 2.0 * (1.0 - cdf) == 0.0
+        p_value = float(_two_sided_p_value(z))
+        assert p_value > 0.0
+        assert p_value == pytest.approx(2.2571768119076845e-19, rel=1e-12)
+
+    def test_long_monotone_series_keeps_a_positive_p_value(self):
+        # z > 9 here: the old 1 - cdf form returned exactly 0.
+        result = mann_kendall_test(np.arange(40.0))
+        assert result.z > 9.0
+        assert 0.0 < result.p_value < 1e-18
+        assert result.trend is Trend.INCREASING
+        batch = mann_kendall_batch(np.arange(40.0)[None, :])
+        assert batch.p_value[0] == result.p_value
+
+    def test_zero_z_gives_unit_p_value(self):
+        assert mann_kendall_test([1, 2, 2, 1]).p_value == 1.0  # S = 0
 
 
 class TestValidation:
