@@ -6,7 +6,7 @@ a small end-to-end comparison, the sequence-model kernels (batched
 LSTM predictor inference, bucketed CRF/BiLSTM-CRF tagging, MC-dropout
 reuse, the per-round prediction cache), the million-sample pool
 paths (partial top-k selection, history append at scale), and the broker-less distributed grid (cells/sec at
-1/2/4 workers, stale-lease reclaim latency per backend) — against the
+1/2/4 workers, stale-lease reclaim latency) — against the
 retained ``_*_reference``/oracle implementations of the per-sample
 code paths, and writes the measurements to ``BENCH_hotpaths.json``,
 ``BENCH_seqmodels.json``, ``BENCH_poolscale.json``,
@@ -745,29 +745,16 @@ def bench_dist_throughput(spec: ExperimentSpec, worker_counts: "list[int]") -> d
 def _backdate_leases(queue, seconds: float) -> None:
     """Age every held lease by ``seconds`` — a worker census that died.
 
-    Reaches into the backend's heartbeat representation (lease-file
-    mtime / ``heartbeat`` column) so the bench can make leases stale
-    instantly instead of using a TTL so short the successor's *own*
-    claims would expire mid-measurement.
+    Reaches into the heartbeat representation (lease-file mtime) so the
+    bench can make leases stale instantly instead of using a TTL so
+    short the successor's *own* claims would expire mid-measurement.
     """
     past = time.time() - seconds
-    lease_dir = queue.directory / "leases"
-    if lease_dir.is_dir():
-        for lease in lease_dir.glob("*.json"):
-            os.utime(lease, (past, past))
-    db_path = queue.directory / "queue.db"
-    if db_path.exists():
-        import sqlite3
-
-        with sqlite3.connect(db_path) as connection:
-            connection.execute(
-                "UPDATE cells SET heartbeat = heartbeat - ? "
-                "WHERE state = 'claimed'",
-                (seconds,),
-            )
+    for lease in (queue.directory / "leases").glob("*.json"):
+        os.utime(lease, (past, past))
 
 
-def bench_dist_reclaim(repeats_per_strategy: int, backend: str) -> dict:
+def bench_dist_reclaim(repeats_per_strategy: int) -> dict:
     """Latency for a successor to reap a dead worker's lease and reclaim.
 
     Pure queue protocol, no model training: materialize a grid, claim
@@ -780,9 +767,7 @@ def bench_dist_reclaim(repeats_per_strategy: int, backend: str) -> dict:
     spec = _dist_spec(repeats_per_strategy, rounds=2, scale=0.05, epochs=2)
     lease = LeaseConfig(ttl=600.0)  # ample: only backdated leases go stale
     with tempfile.TemporaryDirectory(prefix="bench-reclaim-") as scratch:
-        fresh = create_queue(
-            Path(scratch) / "fresh", spec, backend=backend, lease=lease
-        )
+        fresh = create_queue(Path(scratch) / "fresh", spec, lease=lease)
         fresh_latencies = []
         while True:
             start = time.perf_counter()
@@ -791,9 +776,7 @@ def bench_dist_reclaim(repeats_per_strategy: int, backend: str) -> dict:
                 break
             fresh_latencies.append(time.perf_counter() - start)
 
-        queue = create_queue(
-            Path(scratch) / "queue", spec, backend=backend, lease=lease
-        )
+        queue = create_queue(Path(scratch) / "queue", spec, lease=lease)
         while queue.claim("dead") is not None:
             pass
         _backdate_leases(queue, seconds=lease.ttl * 4)
@@ -806,7 +789,6 @@ def bench_dist_reclaim(repeats_per_strategy: int, backend: str) -> dict:
             reclaim_latencies.append(time.perf_counter() - start)
     assert len(reclaim_latencies) == len(fresh_latencies)
     return {
-        "backend": backend,
         "cells": len(reclaim_latencies),
         "fresh_claim_mean_ms": float(np.mean(fresh_latencies) * 1e3),
         "reclaim_mean_ms": float(np.mean(reclaim_latencies) * 1e3),
@@ -841,18 +823,13 @@ def run_dist_scale(quick: bool, output: Path) -> dict:
         )
 
     cells = 10 if quick else 50
-    reclaim = [
-        bench_dist_reclaim(repeats_per_strategy=cells, backend=backend)
-        for backend in ("file", "sqlite")
-    ]
-    results["reclaim"] = {"backends": reclaim}
-    for entry in reclaim:
-        print(
-            f"  reclaim ({entry['backend']:>6}): "
-            f"{entry['reclaim_mean_ms']:6.2f} ms/cell mean, "
-            f"{entry['reclaim_max_ms']:.2f} ms max "
-            f"({entry['reap_overhead']:.1f}x a fresh claim)"
-        )
+    reclaim = bench_dist_reclaim(repeats_per_strategy=cells)
+    results["reclaim"] = reclaim
+    print(
+        f"  reclaim: {reclaim['reclaim_mean_ms']:6.2f} ms/cell mean, "
+        f"{reclaim['reclaim_max_ms']:.2f} ms max "
+        f"({reclaim['reap_overhead']:.1f}x a fresh claim)"
+    )
 
     payload = {
         "benchmark": "dist_scale",

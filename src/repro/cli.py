@@ -179,7 +179,6 @@ def _experiment_from_flags(args: argparse.Namespace) -> ExperimentSpec:
             "backoff": args.backoff,
             "on_error": args.on_error,
             "queue_dir": args.queue_dir,
-            "queue_backend": args.queue_backend,
             "local_workers": args.local_workers,
             "lease_ttl": args.lease_ttl,
             "timeout": args.grid_timeout,
@@ -761,11 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "materialized in this directory; extra workers "
                               "on any host sharing it can join with "
                               "'repro worker --queue-dir DIR'")
-    compare.add_argument("--queue-backend", choices=["file", "sqlite"],
-                         default="file",
-                         help="queue state as lease files (safe on shared/"
-                              "network filesystems) or a sqlite database "
-                              "(faster for many small cells on local disk)")
     compare.add_argument("--local-workers", type=int, default=1,
                          help="worker processes to spawn locally alongside the "
                               "coordinator (0 = coordinate only, workers run "

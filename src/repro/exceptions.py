@@ -77,7 +77,8 @@ class QueueError(ReproError):
     """A distributed work queue is malformed or was driven illegally.
 
     Raised by :mod:`repro.experiments.distributed` for a queue directory
-    that is missing or not a cell queue, a backend mismatch, an attempt
+    that is missing or not a cell queue, a queue materialized with a
+    removed backend, an attempt
     to materialize a different experiment into an existing queue, or a
     lease-protocol violation (e.g. committing a cell that was never
     ticketed).

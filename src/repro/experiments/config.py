@@ -50,6 +50,18 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         from ..core.session import TRAINING_MODES
 
+        for name in ("batch_size", "rounds", "initial_size", "repeats", "seed"):
+            value = getattr(self, name)
+            if name == "initial_size" and value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+        if not isinstance(self.track_flips, bool):
+            raise ConfigurationError(
+                f"track_flips must be true or false, got {self.track_flips!r}"
+            )
         if self.training_mode not in TRAINING_MODES:
             raise ConfigurationError(
                 f"training_mode must be one of {TRAINING_MODES}, "

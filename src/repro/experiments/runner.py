@@ -28,15 +28,14 @@ repeats and attaching a per-cell failure log to each
 from __future__ import annotations
 
 import hashlib
-import heapq
-import itertools
 import multiprocessing
 import time
 from collections.abc import Callable, Mapping
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,16 +159,34 @@ class StrategyResult:
     failures: list[CellFailure] = field(default_factory=list)
 
 
-#: Shared per-worker state, installed by :func:`_set_pool_state` (the
-#: pool initializer) in every worker before it takes cells; only
-#: (strategy_index, repeat, seed) crosses the boundary per task.  Under
-#: ``fork`` the initargs are inherited by reference, so closure factories
-#: still work; under ``spawn`` they are pickled, which is exactly what
-#: spec-built factories (plain data + module-level builders) allow.
-_POOL_STATE: tuple | None = None
+class _GridState(NamedTuple):
+    """Everything a cell needs besides its coordinates.
+
+    Shared by the serial path and the pool: pool workers receive it once
+    through the pool initializer (:func:`_set_pool_state`), so only the
+    ``(strategy_index, repeat)`` cell crosses the boundary per task.
+    Under ``fork`` it is inherited by reference, so closure factories
+    still work; under ``spawn`` it is pickled, which is exactly what
+    spec-built factories (plain data + module-level builders) allow.
+    """
+
+    model_factory: Callable[[], object]
+    factories: list
+    train_dataset: object
+    test_dataset: object
+    config: ExperimentConfig
+    metric: object
+    store: "CheckpointStore | None"
+    names: list
+    repeat_seeds: np.ndarray
+    policy: RetryPolicy
 
 
-def _set_pool_state(state: tuple) -> None:
+#: The pool worker's :class:`_GridState`, installed by the initializer.
+_POOL_STATE: "_GridState | None" = None
+
+
+def _set_pool_state(state: _GridState) -> None:
     """Pool-worker initializer: install the shared cell-building state."""
     global _POOL_STATE
     _POOL_STATE = state
@@ -319,34 +336,46 @@ def _run_cell(
     return run_to_completion(engine, on_round_committed=on_round_committed)
 
 
-def _run_cell_from_state(strategy_index: int, repeat: int, seed: int) -> ALResult:
-    """Pool-worker entry point: look the cell up in the inherited state."""
-    (
-        model_factory,
-        factories,
-        train_dataset,
-        test_dataset,
-        config,
-        metric,
-        store,
-        names,
-    ) = _POOL_STATE
-    return _run_cell(
-        model_factory,
-        factories[strategy_index],
-        train_dataset,
-        test_dataset,
-        config,
-        metric,
-        seed,
-        store=store,
-        strategy_name=names[strategy_index] if names else None,
-        repeat=repeat,
-    )
+def _run_cell_with_retry(
+    cell: "tuple[int, int]", state: "_GridState | None" = None
+) -> "ALResult | tuple[int, Exception]":
+    """Run one cell under the retry policy: the grid's only retry loop.
+
+    Returns the cell's :class:`ALResult`, or ``(attempts, last_error)``
+    once the policy's attempts are spent.  Retries wait out the policy's
+    (jittered, deterministic) backoff first, and a retry of a cell whose
+    engine snapshotted committed rounds resumes from the last snapshot
+    rather than recomputing them.  The serial path passes its ``state``;
+    pool workers omit it and use the one their initializer installed.
+    """
+    if state is None:
+        state = _POOL_STATE
+    strategy_index, repeat = cell
+    name = state.names[strategy_index]
+    failures = 0
+    while True:
+        try:
+            return _run_cell(
+                state.model_factory,
+                state.factories[strategy_index],
+                state.train_dataset,
+                state.test_dataset,
+                state.config,
+                state.metric,
+                int(state.repeat_seeds[repeat]),
+                store=state.store,
+                strategy_name=name,
+                repeat=repeat,
+            )
+        except Exception as error:
+            failures += 1
+            if failures >= state.policy.max_attempts:
+                return failures, error
+            time.sleep(state.policy.delay(failures, key=f"{name}:{repeat}"))
 
 
 class _CellGrid:
-    """Bookkeeping for one grid execution: pending cells, retries, results.
+    """Bookkeeping for one grid execution: pending, succeeded, failed cells.
 
     A *cell* is a ``(strategy_index, repeat_index)`` tuple.  Cells move
     from ``pending`` to either ``results`` (success, checkpointed if a
@@ -355,36 +384,22 @@ class _CellGrid:
     raises :class:`ExecutionError` instead.
     """
 
-    def __init__(
-        self,
-        names: list[str],
-        repeat_seeds: np.ndarray,
-        policy: RetryPolicy,
-        on_error: str,
-        store: "CheckpointStore | None",
-    ) -> None:
-        self.names = names
-        self.repeat_seeds = repeat_seeds
-        self.policy = policy
+    def __init__(self, state: _GridState, on_error: str) -> None:
+        self.names = state.names
+        self.repeat_seeds = state.repeat_seeds
+        self.policy = state.policy
+        self.store = state.store
         self.on_error = on_error
-        self.store = store
         self.pending: list[tuple[int, int]] = [
             (strategy_index, repeat_index)
-            for strategy_index in range(len(names))
-            for repeat_index in range(len(repeat_seeds))
+            for strategy_index in range(len(self.names))
+            for repeat_index in range(len(self.repeat_seeds))
         ]
         self.results: dict[tuple[int, int], ALResult] = {}
         self.failures: dict[tuple[int, int], CellFailure] = {}
-        self.attempts: dict[tuple[int, int], int] = {}
 
     def describe(self, cell: "tuple[int, int]") -> str:
         return f"({self.names[cell[0]]!r}, repeat {cell[1]})"
-
-    def retry_delay(self, cell: "tuple[int, int]") -> float:
-        """Backoff before this cell's next attempt (0.0 = retry now)."""
-        return self.policy.delay(
-            self.attempts.get(cell, 0), key=f"{self.names[cell[0]]}:{cell[1]}"
-        )
 
     def cell_seed(self, cell: "tuple[int, int]") -> int:
         return int(self.repeat_seeds[cell[1]])
@@ -413,39 +428,39 @@ class _CellGrid:
         for cell in self.pending:
             self.store.discard_session(self.names[cell[0]], cell[1])
 
-    def record_success(self, cell: "tuple[int, int]", result: ALResult) -> None:
-        self.results[cell] = result
-        self.pending.remove(cell)
-        if self.store is not None:
-            self.store.save(self.names[cell[0]], cell[1], self.cell_seed(cell), result)
-            self.store.discard_session(self.names[cell[0]], cell[1])
+    def settle(
+        self, cell: "tuple[int, int]", outcome: "ALResult | tuple[int, Exception]"
+    ) -> None:
+        """Record a cell's final outcome from :func:`_run_cell_with_retry`.
 
-    def record_error(self, cell: "tuple[int, int]", error: Exception) -> bool:
-        """Count one failed attempt; True if the cell should be retried.
+        A result is kept (and checkpointed if a store is attached); an
+        ``(attempts, error)`` pair becomes a :class:`CellFailure`.
 
         Raises
         ------
         ExecutionError
-            When the retry budget is exhausted and ``on_error="raise"``.
+            For a failed cell when ``on_error="raise"``.
         """
-        attempts = self.attempts.get(cell, 0) + 1
-        self.attempts[cell] = attempts
-        if attempts < self.policy.max_attempts:
-            return True
-        message = (
-            f"cell {self.describe(cell)} failed after {attempts} "
-            f"attempt{'s' if attempts != 1 else ''}: {error}"
-        )
-        if self.on_error == "raise":
-            raise ExecutionError(message) from error
-        self.failures[cell] = CellFailure(
-            strategy=self.names[cell[0]],
-            repeat=cell[1],
-            attempts=attempts,
-            error=f"{type(error).__name__}: {error}",
-        )
+        if isinstance(outcome, tuple):
+            attempts, error = outcome
+            if self.on_error == "raise":
+                raise ExecutionError(
+                    f"cell {self.describe(cell)} failed after {attempts} "
+                    f"attempt{'s' if attempts != 1 else ''}: {error}"
+                ) from error
+            self.failures[cell] = CellFailure(
+                strategy=self.names[cell[0]],
+                repeat=cell[1],
+                attempts=attempts,
+                error=f"{type(error).__name__}: {error}",
+            )
+        else:
+            self.results[cell] = outcome
+            if self.store is not None:
+                name, repeat = self.names[cell[0]], cell[1]
+                self.store.save(name, repeat, self.cell_seed(cell), outcome)
+                self.store.discard_session(name, repeat)
         self.pending.remove(cell)
-        return False
 
     def record_lost_cells(self, rebuilds: int) -> None:
         """Settle the cells still pending after too many broken pools."""
@@ -461,63 +476,23 @@ class _CellGrid:
             self.failures[cell] = CellFailure(
                 strategy=self.names[cell[0]],
                 repeat=cell[1],
-                attempts=self.attempts.get(cell, 0),
+                attempts=0,
                 error="worker process died (BrokenProcessPool)",
             )
             self.pending.remove(cell)
 
 
-def _run_serial(
-    grid: _CellGrid,
-    model_factory,
-    factories,
-    train_dataset,
-    test_dataset,
-    config,
-    metric,
-) -> None:
-    """In-process execution with per-cell retry.
+def _run_pool(grid: _CellGrid, n_jobs: int, start_method: str, state: _GridState) -> None:
+    """Process-pool execution with broken-pool resubmission.
 
-    A retry of a cell whose engine snapshotted committed rounds resumes
-    from the last snapshot rather than recomputing them.  Retries wait
-    out the policy's (jittered, deterministic) backoff first.
-    """
-    for cell in list(grid.pending):
-        while True:
-            try:
-                result = _run_cell(
-                    model_factory,
-                    factories[cell[0]],
-                    train_dataset,
-                    test_dataset,
-                    config,
-                    metric,
-                    grid.cell_seed(cell),
-                    store=grid.store,
-                    strategy_name=grid.names[cell[0]],
-                    repeat=cell[1],
-                )
-            except Exception as error:
-                if grid.record_error(cell, error):
-                    delay = grid.retry_delay(cell)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                break
-            grid.record_success(cell, result)
-            break
-
-
-def _run_pool(grid: _CellGrid, n_jobs: int, start_method: str, state: tuple) -> None:
-    """Process-pool execution with retry and broken-pool resubmission.
-
-    Each iteration of the outer loop owns one pool.  Cells that raise
-    *inside* a worker are retried on the same pool; when the pool itself
-    breaks (a worker died), the not-yet-settled cells are resubmitted to
-    a fresh pool.  Consecutive rebuilds that settle nothing are bounded
-    by the retry policy, so a cell that reliably kills its worker cannot
-    rebuild pools forever.  On any fatal error the outstanding futures
-    are cancelled so no workers are left running stranded cells.
+    Each iteration of the outer loop owns one pool.  Workers run every
+    cell through :func:`_run_cell_with_retry`, so the parent only settles
+    outcomes; when the pool itself breaks (a worker died), the
+    not-yet-settled cells are resubmitted to a fresh pool.  Consecutive
+    rebuilds that settle nothing are bounded by the retry policy, so a
+    cell that reliably kills its worker cannot rebuild pools forever.  On
+    any fatal error the outstanding futures are cancelled so no workers
+    are left running stranded cells.
 
     ``state`` is installed in every worker by the pool initializer:
     inherited by reference under ``fork``, pickled under ``spawn``.
@@ -533,78 +508,15 @@ def _run_pool(grid: _CellGrid, n_jobs: int, start_method: str, state: tuple) -> 
             initargs=(state,),
         )
         futures: dict = {}
-        # Retries under a backoff policy are parked here as
-        # (eligible_at, tiebreak, cell) and submitted once due, so one
-        # flapping cell never blocks the dispatcher or the other cells.
-        deferred: list[tuple[float, int, tuple[int, int]]] = []
-        defer_order = itertools.count()
         try:
             for cell in grid.pending:
-                futures[
-                    pool.submit(
-                        _run_cell_from_state, cell[0], cell[1], grid.cell_seed(cell)
-                    )
-                ] = cell
-            outstanding = set(futures)
-            broke = False
-            while (outstanding or deferred) and not broke:
-                now = time.monotonic()
-                while deferred and deferred[0][0] <= now:
-                    _, _, cell = heapq.heappop(deferred)
-                    try:
-                        retry = pool.submit(
-                            _run_cell_from_state,
-                            cell[0],
-                            cell[1],
-                            grid.cell_seed(cell),
-                        )
-                    except BrokenProcessPool:
-                        broke = True
-                        break
-                    futures[retry] = cell
-                    outstanding.add(retry)
-                if broke:
-                    break
-                timeout = max(0.0, deferred[0][0] - now) if deferred else None
-                if not outstanding:
-                    time.sleep(timeout or 0.0)
-                    continue
-                done, outstanding = wait(
-                    outstanding, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    cell = futures[future]
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        broke = True
-                    except Exception as error:  # raised inside the worker
-                        if grid.record_error(cell, error):
-                            delay = grid.retry_delay(cell)
-                            if delay > 0:
-                                heapq.heappush(
-                                    deferred,
-                                    (
-                                        time.monotonic() + delay,
-                                        next(defer_order),
-                                        cell,
-                                    ),
-                                )
-                                continue
-                            try:
-                                retry = pool.submit(
-                                    _run_cell_from_state,
-                                    cell[0],
-                                    cell[1],
-                                    grid.cell_seed(cell),
-                                )
-                            except BrokenProcessPool:
-                                broke = True
-                            else:
-                                futures[retry] = cell
-                                outstanding.add(retry)
-                    else:
-                        grid.record_success(cell, result)
+                futures[pool.submit(_run_cell_with_retry, cell)] = cell
+            for future in as_completed(futures):
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    continue  # the cell stays pending for the next pool
+                grid.settle(futures[future], outcome)
         except BaseException:
             for future in futures:
                 future.cancel()
@@ -724,7 +636,6 @@ def run_comparison(
     model_factory, factories_by_name, model_spec, strategy_specs = (
         _normalise_components(model_factory, strategy_factories)
     )
-    repeat_seeds = grid_repeat_seeds(config)
     names = list(factories_by_name)
     factories = [factories_by_name[name] for name in names]
     store = (
@@ -742,7 +653,19 @@ def run_comparison(
         else None
     )
 
-    grid = _CellGrid(names, repeat_seeds, retry or RetryPolicy(), on_error, store)
+    state = _GridState(
+        model_factory,
+        factories,
+        train_dataset,
+        test_dataset,
+        config,
+        metric,
+        store,
+        names,
+        grid_repeat_seeds(config),
+        retry or RetryPolicy(),
+    )
+    grid = _CellGrid(state, on_error)
     if resume:
         grid.resume()
     else:
@@ -750,21 +673,10 @@ def run_comparison(
 
     resolved_start = _resolve_start_method(start_method, spec_mode=model_spec is not None)
     if n_jobs > 1 and len(grid.pending) > 1 and resolved_start is not None:
-        state = (
-            model_factory,
-            factories,
-            train_dataset,
-            test_dataset,
-            config,
-            metric,
-            store,
-            names,
-        )
         _run_pool(grid, n_jobs, resolved_start, state)
     else:
-        _run_serial(
-            grid, model_factory, factories, train_dataset, test_dataset, config, metric
-        )
+        for cell in list(grid.pending):
+            grid.settle(cell, _run_cell_with_retry(cell, state))
 
     return aggregate_strategy_results(names, config.repeats, grid.results, grid.failures)
 

@@ -63,7 +63,6 @@ def execute_experiment(
             spec,
             runner["queue_dir"],
             workers=runner["local_workers"],
-            backend=runner["queue_backend"],
             lease=LeaseConfig(ttl=runner["lease_ttl"]),
             retry=retry,
             on_error=runner["on_error"],

@@ -58,38 +58,47 @@ RUNNER_DEFAULTS = {
     # Distributed execution (repro.experiments.distributed): a non-null
     # queue_dir routes the grid through the broker-less work queue.
     "queue_dir": None,
-    "queue_backend": "file",
     "local_workers": 1,
     "lease_ttl": 30.0,
     "timeout": None,
 }
 
+#: Accepted types of the options whose default is ``None`` (besides
+#: ``None``); every other option must match its default's type.
+_NULLABLE_OPTION_TYPES = {
+    "checkpoint_dir": (str,),
+    "start_method": (str,),
+    "queue_dir": (str,),
+    "timeout": (int, float),
+}
+
 #: Report options an experiment document may set (with their defaults).
 REPORT_DEFAULTS = {"targets": [], "plot": False}
 
-#: The removed ``history_backend`` option and the values it could take.
-#: Every value gave byte-identical results, so documents, snapshots and
-#: checkpoints written while it existed still load with the key dropped.
-_LEGACY_OPTION = "history_backend"
-_LEGACY_VALUES = ("local", "shared", "mmap")
+#: Removed options and the values they could take.  Every value of each
+#: gave byte-identical results, so documents, snapshots, checkpoints and
+#: queue envelopes written while they existed still load with the key
+#: dropped.
+REMOVED_OPTIONS = {
+    "history_backend": ("local", "shared", "mmap"),
+    "queue_backend": ("file", "sqlite"),
+}
 
 
 def drop_legacy_options(section: dict, error_cls: type = SpecError) -> dict:
-    """``section`` without the removed ``history_backend`` key.
+    """``section`` without the keys of :data:`REMOVED_OPTIONS`.
 
-    Every reader of persisted experiment shapes, session-snapshot
-    configs and checkpoint payloads passes them through here.  The key
-    is accepted only with one of its former values; anything else raises
-    ``error_cls`` (the calling layer's typed error).
+    Every reader of persisted experiment shapes, runner sections,
+    session-snapshot configs and checkpoint payloads passes them through
+    here.  A removed key is accepted only with one of its former values;
+    anything else raises ``error_cls`` (the calling layer's typed error).
     """
-    if _LEGACY_OPTION not in section:
-        return section
-    value = section[_LEGACY_OPTION]
-    if value not in _LEGACY_VALUES:
-        raise error_cls(
-            f"{_LEGACY_OPTION} must be one of {_LEGACY_VALUES}, got {value!r}"
-        )
-    return {key: item for key, item in section.items() if key != _LEGACY_OPTION}
+    for option, values in REMOVED_OPTIONS.items():
+        if option in section and section[option] not in values:
+            raise error_cls(
+                f"{option} must be one of {values}, got {section[option]!r}"
+            )
+    return {key: item for key, item in section.items() if key not in REMOVED_OPTIONS}
 
 
 def drop_legacy_snapshot_options(snapshot, error_cls: type):
@@ -110,13 +119,29 @@ def default_model_spec(task: str, epochs: int = 5) -> Spec:
 
 
 def _section(payload: dict, key: str, defaults: dict) -> dict:
-    """Validate one options section against its known keys + defaults."""
+    """Validate one options section against its known keys, defaults and types."""
     section = payload.get(key, {})
     if not isinstance(section, dict):
         raise SpecError(f"experiment {key!r} section must be a dict")
+    section = drop_legacy_options(section)
     unknown = set(section) - set(defaults)
     if unknown:
         raise SpecError(f"unknown {key} option(s): {sorted(unknown)}")
+    for option, value in section.items():
+        default = defaults[option]
+        if value is None and default is None:
+            continue
+        if default is None:
+            expected = _NULLABLE_OPTION_TYPES[option]
+        elif isinstance(default, float):
+            expected = (int, float)
+        else:
+            expected = (type(default),)
+        if not isinstance(value, expected) or (
+            isinstance(value, bool) and bool not in expected
+        ):
+            names = " or ".join(kind.__name__ for kind in expected)
+            raise SpecError(f"{key} option {option!r} must be {names}, got {value!r}")
     return {**defaults, **section}
 
 

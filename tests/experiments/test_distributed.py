@@ -23,7 +23,6 @@ from repro.experiments.checkpoint import cell_stem
 from repro.experiments.distributed import (
     FileCellQueue,
     LeaseConfig,
-    SqliteCellQueue,
     collect_results,
     coordinate,
     create_queue,
@@ -89,6 +88,18 @@ def assert_results_match(actual, expected):
             expected[name].curve.values.tobytes()
         )
         assert actual[name].std.tobytes() == expected[name].std.tobytes()
+
+
+#: The queue has one backend left; parametrizing over it keeps the ids
+#: of the tests that used to run against each backend.
+ONE_BACKEND = pytest.mark.parametrize("backend", ["file"])
+
+
+def set_envelope_backend(queue_dir: Path, backend: str) -> None:
+    envelope_path = queue_dir / "queue.json"
+    envelope = json.loads(envelope_path.read_text())
+    envelope["backend"] = backend
+    envelope_path.write_text(json.dumps(envelope))
 
 
 def audit_events(queue, event: str) -> list[dict]:
@@ -167,19 +178,24 @@ class TestQueueMaterialization:
         assert len(queue.tickets) == 4
 
     def test_open_dispatches_on_backend(self, grid_spec, tmp_path):
-        create_queue(tmp_path / "f", grid_spec, backend="file")
-        create_queue(tmp_path / "s", grid_spec, backend="sqlite")
-        assert isinstance(open_queue(tmp_path / "f"), FileCellQueue)
-        assert isinstance(open_queue(tmp_path / "s"), SqliteCellQueue)
+        create_queue(tmp_path / "q", grid_spec)
+        assert isinstance(open_queue(tmp_path / "q"), FileCellQueue)
+        # The envelope still names its backend, so older builds open it.
+        envelope = json.loads((tmp_path / "q" / "queue.json").read_text())
+        assert envelope["backend"] == "file"
 
     def test_wrong_backend_class_raises(self, grid_spec, tmp_path):
-        create_queue(tmp_path / "s", grid_spec, backend="sqlite")
-        with pytest.raises(QueueError, match="backend"):
-            FileCellQueue(tmp_path / "s")
+        """A queue materialized with the removed sqlite backend is refused."""
+        create_queue(tmp_path / "q", grid_spec)
+        set_envelope_backend(tmp_path / "q", "sqlite")
+        with pytest.raises(QueueError, match="fresh queue directory"):
+            open_queue(tmp_path / "q")
 
     def test_unknown_backend_rejected(self, grid_spec, tmp_path):
-        with pytest.raises(ConfigurationError, match="backend"):
-            create_queue(tmp_path / "q", grid_spec, backend="redis")
+        create_queue(tmp_path / "q", grid_spec)
+        set_envelope_backend(tmp_path / "q", "redis")
+        with pytest.raises(QueueError, match="'redis'"):
+            create_queue(tmp_path / "q", grid_spec)
 
     def test_missing_envelope_raises(self, tmp_path):
         with pytest.raises(QueueError, match="cannot read"):
@@ -192,10 +208,10 @@ class TestQueueMaterialization:
         assert queue.checkpoint_directory == (tmp_path / "ckpt").resolve()
 
 
-@pytest.mark.parametrize("backend", ["file", "sqlite"])
+@ONE_BACKEND
 class TestClaimProtocol:
     def test_claims_are_exclusive_and_ordered(self, grid_spec, tmp_path, backend):
-        queue = create_queue(tmp_path / "q", grid_spec, backend=backend)
+        queue = create_queue(tmp_path / "q", grid_spec)
         claims = [queue.claim(f"worker-{i}") for i in range(5)]
         held = [claim for claim in claims if claim is not None]
         assert len(held) == 4  # fifth claim finds nothing
@@ -209,7 +225,7 @@ class TestClaimProtocol:
     def test_commit_settles_and_duplicate_commit_is_flagged(
         self, grid_spec, tmp_path, backend
     ):
-        queue = create_queue(tmp_path / "q", grid_spec, backend=backend)
+        queue = create_queue(tmp_path / "q", grid_spec)
         claim = queue.claim("a")
         twin = open_queue(tmp_path / "q")
         assert queue.commit(claim) is True
@@ -222,7 +238,7 @@ class TestClaimProtocol:
     def test_release_makes_cell_instantly_reclaimable(
         self, grid_spec, tmp_path, backend
     ):
-        queue = create_queue(tmp_path / "q", grid_spec, backend=backend)
+        queue = create_queue(tmp_path / "q", grid_spec)
         claim = queue.claim("a")
         queue.release(claim, "interrupted")
         reclaimed = queue.claim("b")
@@ -232,7 +248,7 @@ class TestClaimProtocol:
         assert record["reason"] == "interrupted"
 
     def test_settled_and_counts(self, grid_spec, tmp_path, backend):
-        queue = create_queue(tmp_path / "q", grid_spec, backend=backend)
+        queue = create_queue(tmp_path / "q", grid_spec)
         assert not queue.settled()
         assert queue.counts() == {
             "total": 4, "done": 0, "failed": 0, "claimed": 0, "pending": 4,
@@ -243,11 +259,11 @@ class TestClaimProtocol:
         assert queue.counts()["done"] == 4
 
 
-@pytest.mark.parametrize("backend", ["file", "sqlite"])
+@ONE_BACKEND
 class TestLeases:
     def test_live_lease_is_not_stolen(self, grid_spec, tmp_path, backend):
         queue = create_queue(
-            tmp_path / "q", grid_spec, backend=backend,
+            tmp_path / "q", grid_spec,
             lease=LeaseConfig(ttl=60.0),
         )
         claim = queue.claim("a")
@@ -257,7 +273,7 @@ class TestLeases:
 
     def test_stale_lease_is_reaped_and_reclaimed(self, grid_spec, tmp_path, backend):
         queue = create_queue(
-            tmp_path / "q", grid_spec, backend=backend,
+            tmp_path / "q", grid_spec,
             lease=LeaseConfig(ttl=0.2, renewal_interval=0.05),
         )
         claim = queue.claim("dead-worker")
@@ -272,7 +288,7 @@ class TestLeases:
 
     def test_heartbeat_keeps_lease_alive(self, grid_spec, tmp_path, backend):
         queue = create_queue(
-            tmp_path / "q", grid_spec, backend=backend,
+            tmp_path / "q", grid_spec,
             lease=LeaseConfig(ttl=0.6, renewal_interval=0.1),
         )
         claim = queue.claim("a")
@@ -284,7 +300,7 @@ class TestLeases:
 
     def test_heartbeat_reports_lost_lease(self, grid_spec, tmp_path, backend):
         queue = create_queue(
-            tmp_path / "q", grid_spec, backend=backend,
+            tmp_path / "q", grid_spec,
             lease=LeaseConfig(ttl=0.2, renewal_interval=0.05),
         )
         claim = queue.claim("slow-worker")
@@ -314,12 +330,12 @@ class TestClockSkew:
         assert queue.heartbeat(claim) is True
 
 
-@pytest.mark.parametrize("backend", ["file", "sqlite"])
+@ONE_BACKEND
 class TestRetryAndQuarantine:
     def test_failure_respects_backoff_schedule(self, grid_spec, tmp_path, backend):
         policy = RetryPolicy(max_attempts=3, backoff=30.0, jitter=0.0)
         queue = create_queue(
-            tmp_path / "q", grid_spec, backend=backend, retry=policy
+            tmp_path / "q", grid_spec, retry=policy
         )
         claim = queue.claim("a")
         assert queue.fail(claim, RuntimeError("boom")) == "retry"
@@ -337,7 +353,7 @@ class TestRetryAndQuarantine:
     def test_poison_cell_quarantined_at_threshold(self, grid_spec, tmp_path, backend):
         policy = RetryPolicy(max_attempts=2, backoff=0.0)
         queue = create_queue(
-            tmp_path / "q", grid_spec, backend=backend, retry=policy
+            tmp_path / "q", grid_spec, retry=policy
         )
         claim = queue.claim("a")
         cell_id = claim.ticket.cell_id
@@ -360,14 +376,14 @@ class TestRetryAndQuarantine:
 # -- end-to-end execution ----------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["file", "sqlite"])
+@ONE_BACKEND
 class TestWorkerByteIdentity:
     def test_single_worker_matches_serial(
         self, grid_spec, serial_reference, tmp_path, backend
     ):
         serial_results, serial_dir = serial_reference
         queue_dir = tmp_path / "q"
-        queue = create_queue(queue_dir, grid_spec, backend=backend)
+        queue = create_queue(queue_dir, grid_spec)
         summary = run_worker(queue_dir, owner="solo", poll=0.05)
         assert summary["completed"] == 4
         assert summary["failed"] == 0

@@ -7,11 +7,17 @@ is reproducible in CI.
 
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from repro.core.strategies import Entropy, Random, WSHS
 from repro.exceptions import ConfigurationError, ExecutionError
-from repro.experiments import ExperimentConfig, RetryPolicy, run_comparison
+from repro.experiments import (
+    CellFailure,
+    ExperimentConfig,
+    RetryPolicy,
+    run_comparison,
+)
 from tests.faults import (
     FaultInjectingModel,
     FaultInjectingStrategy,
@@ -37,6 +43,24 @@ FITS_PER_CELL = CONFIG_KWARGS["rounds"] + 1
 def faulty_model_factory(spec, counter=None):
     """A model factory whose produced models fail per ``spec``."""
     return lambda: FaultInjectingModel(plain_model(), spec, counter)
+
+
+class PoisonedRepeat(FaultInjectingStrategy):
+    """Fails every attempt of the one cell that starts from ``initial``.
+
+    The initial labeled batch is a pure function of the cell's seed, so
+    this targets one (strategy, repeat) cell persistently, whichever
+    process runs it.
+    """
+
+    def __init__(self, inner, initial) -> None:
+        self._inner = inner
+        self._initial = np.asarray(initial)
+
+    def scores(self, model, context):
+        if np.isin(self._initial, context.labeled).all():
+            raise InjectedFault("poisoned repeat")
+        return self._inner.scores(model, context)
 
 
 class TestRetryPolicy:
@@ -105,7 +129,7 @@ class TestBackoffSchedule:
     def test_pool_retry_with_backoff_matches_clean_run(
         self, text_dataset, tmp_path
     ):
-        """The pool defers backed-off cells without blocking its workers."""
+        """A pool worker waits out the backoff and retries the cell itself."""
         clean = compare(text_dataset)
         spec = FaultSpec(token_dir=tmp_path / "tokens", fail_on_call=1, times=1)
         retried = compare(
@@ -167,6 +191,41 @@ class TestDegradation:
         assert failure.repeat == 0  # serial order: repeat 0 hits the fault first
         assert failure.attempts == 1
         assert "InjectedFault" in failure.error
+
+    @needs_fork
+    def test_skip_records_identical_failures_serially_and_in_pool(self, text_dataset):
+        """Serial and pool cells retry through one loop: same failure audit."""
+        clean = compare(text_dataset)
+        initial = clean["wshs:entropy"].runs[0].selection_order[0]
+        factories = {
+            "Random": Random,
+            "wshs:entropy": lambda: PoisonedRepeat(WSHS(Entropy(), window=2), initial),
+        }
+
+        def run(n_jobs):
+            return run_comparison(
+                plain_model,
+                factories,
+                text_dataset.subset(range(200)),
+                text_dataset.subset(range(200, 300)),
+                config=ExperimentConfig(**CONFIG_KWARGS),
+                retry=RetryPolicy(max_attempts=2),
+                on_error="skip",
+                n_jobs=n_jobs,
+            )
+
+        serial, pooled = run(1), run(2)
+        failures = [f for result in serial.values() for f in result.failures]
+        assert failures == [
+            CellFailure(
+                strategy="wshs:entropy",
+                repeat=0,
+                attempts=2,
+                error="InjectedFault: poisoned repeat",
+            )
+        ]
+        assert [f for result in pooled.values() for f in result.failures] == failures
+        assert_results_identical(serial, pooled)
 
     def test_all_repeats_failed_still_raises(self, text_dataset, tmp_path):
         spec = FaultSpec(token_dir=tmp_path / "tokens", fail_on_call=1, times=None)

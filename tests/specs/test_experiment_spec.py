@@ -93,6 +93,73 @@ class TestExperimentSpec:
             spec.validate()
 
 
+class TestFieldTypes:
+    """Mistyped shape and runner fields raise typed errors, never coerce."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rounds", "x"),
+            ("batch_size", 1.5),
+            ("repeats", True),
+            ("seed", "7"),
+            ("initial_size", 2.5),
+            ("track_flips", "yes"),
+        ],
+    )
+    def test_mistyped_experiment_field_rejected(self, field, value):
+        payload = _small_spec().to_dict()
+        payload["experiment"][field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentSpec.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("n_jobs", "2"),
+            ("n_jobs", True),
+            ("resume", 1),
+            ("max_retries", 1.5),
+            ("backoff", "0.5"),
+            ("on_error", None),
+            ("checkpoint_dir", 3),
+            ("timeout", "60"),
+            ("report.plot", "yes"),
+        ],
+    )
+    def test_mistyped_runner_option_rejected(self, option, value):
+        payload = _small_spec().to_dict()
+        section, _, key = option.rpartition(".")
+        payload[section or "runner"][key] = value
+        with pytest.raises(SpecError, match=key):
+            ExperimentSpec.from_dict(payload)
+
+    def test_numeric_options_accept_ints_and_nulls(self):
+        payload = _small_spec().to_dict()
+        payload["runner"].update(backoff=1, lease_ttl=5, timeout=60, queue_dir=None)
+        runner = ExperimentSpec.from_dict(payload).runner
+        assert (runner["backoff"], runner["lease_ttl"], runner["timeout"]) == (1, 5, 60)
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [("experiment", "rounds", "x"), ("experiment", "batch_size", 1.5),
+         ("runner", "n_jobs", "2")],
+    )
+    def test_config_validate_reports_mistyped_field(
+        self, tmp_path, capsys, section, field, value
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "experiment.json"
+        payload = _small_spec().to_dict()
+        payload[section][field] = value
+        path.write_text(json.dumps(payload))
+        assert main(["config", "validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert "valid experiment document" not in captured.out
+
+
 class TestRunComparisonValidation:
     def test_oversized_grid_rejected_up_front(self, text_dataset):
         config = ExperimentConfig(batch_size=400, rounds=2, repeats=1, seed=0)

@@ -1,11 +1,14 @@
-"""Persisted inputs that carry the removed ``history_backend`` option.
+"""Persisted inputs that carry a removed option.
 
 Experiment documents, sweep overrides, session snapshots, cell
 checkpoints and queue envelopes written while ``HistoryStore`` had
-selectable buffer backends may still name one.  Every backend gave
-byte-identical results, so each reader accepts the key with one of its
-former values and drops it; any other value raises the reader's typed
-error.
+selectable buffer backends may still name one (``history_backend``);
+experiment documents and queue envelopes written while the work queue
+had a sqlite backend name the queue backend (``runner.queue_backend``).
+Every backend gave byte-identical results, so each reader accepts the
+key with one of its former values and drops it; any other value raises
+the reader's typed error.  A queue actually materialized with the sqlite
+backend cannot be opened and asks for a fresh queue directory.
 """
 
 import dataclasses
@@ -15,9 +18,9 @@ import pytest
 
 from repro.core.session import SessionEngine, run_to_completion
 from repro.core.strategies import Random
-from repro.exceptions import CheckpointError, SessionError, SpecError
+from repro.exceptions import CheckpointError, QueueError, SessionError, SpecError
 from repro.experiments import CheckpointStore, ExperimentConfig
-from repro.experiments.distributed import create_queue
+from repro.experiments.distributed import create_queue, open_queue, run_worker
 from repro.experiments.runner import grid_repeat_seeds
 from repro.formats import SWEEP_FORMAT, SWEEP_VERSION
 from repro.service import JsonSessionStore, SessionService
@@ -34,6 +37,10 @@ from .service.test_app import RECIPE
 
 KEY = "history_backend"
 LEGACY_VALUES = ("local", "shared", "mmap")
+QUEUE_KEY = "queue_backend"
+QUEUE_VALUES = ("file", "sqlite")
+#: What opening a queue materialized with a removed backend asks for.
+FRESH_QUEUE = "fresh queue directory"
 
 
 def read_experiment_document(value, tmp_path, text_dataset):
@@ -119,21 +126,87 @@ def read_queue_envelope(value, tmp_path, text_dataset):
     assert reopened.experiment["experiment"][KEY] == value
 
 
+def read_runner_section(value, tmp_path, text_dataset):
+    document = make_spec().to_dict()
+    document["runner"][QUEUE_KEY] = value
+    assert ExperimentSpec.from_dict(document).to_dict() == make_spec().to_dict()
+
+
+def write_legacy_envelope(directory, key, value):
+    """A queue whose envelope embeds ``runner[key] = value``."""
+    create_queue(directory, make_spec())
+    envelope_path = directory / "queue.json"
+    envelope = json.loads(envelope_path.read_text())
+    envelope["experiment"]["runner"][key] = value
+    envelope_path.write_text(json.dumps(envelope))
+
+
+def read_queue_envelope_runner(value, tmp_path, text_dataset):
+    directory = tmp_path / "queue"
+    write_legacy_envelope(directory, QUEUE_KEY, value)
+    reopened = create_queue(directory, make_spec())
+    assert reopened.experiment["runner"][QUEUE_KEY] == value
+
+
+def read_queue_worker(value, tmp_path, text_dataset):
+    directory = tmp_path / "queue"
+    write_legacy_envelope(directory, QUEUE_KEY, value)
+    summary = run_worker(directory, owner="legacy", max_cells=0)
+    assert summary["completed"] == 0
+
+
+def read_queue_envelope_backend(value, tmp_path, text_dataset):
+    directory = tmp_path / "queue"
+    create_queue(directory, make_spec())
+    envelope_path = directory / "queue.json"
+    envelope = json.loads(envelope_path.read_text())
+    envelope["backend"] = value
+    envelope_path.write_text(json.dumps(envelope))
+    assert open_queue(directory).tickets
+
+
+#: reader -> (read, typed error, error match, accepted values, rejected values)
 READERS = {
-    "experiment_document": (read_experiment_document, SpecError),
-    "sweep_override": (read_sweep_override, SpecError),
-    "service_snapshot": (read_service_snapshot, SessionError),
-    "checkpoints": (read_checkpoints, CheckpointError),
-    "queue_envelope": (read_queue_envelope, SpecError),
+    "experiment_document": (read_experiment_document, SpecError, KEY, LEGACY_VALUES, ("redis",)),
+    "sweep_override": (read_sweep_override, SpecError, KEY, LEGACY_VALUES, ("redis",)),
+    "service_snapshot": (read_service_snapshot, SessionError, KEY, LEGACY_VALUES, ("redis",)),
+    "checkpoints": (read_checkpoints, CheckpointError, KEY, LEGACY_VALUES, ("redis",)),
+    "queue_envelope": (read_queue_envelope, SpecError, KEY, LEGACY_VALUES, ("redis",)),
+    "runner_section": (read_runner_section, SpecError, QUEUE_KEY, QUEUE_VALUES, ("redis",)),
+    "queue_envelope_runner": (
+        read_queue_envelope_runner, SpecError, QUEUE_KEY, QUEUE_VALUES, ("redis",)
+    ),
+    "queue_worker": (read_queue_worker, SpecError, QUEUE_KEY, QUEUE_VALUES, ("redis",)),
+    "queue_envelope_backend": (
+        read_queue_envelope_backend, QueueError, FRESH_QUEUE, ("file",), ("sqlite", "redis")
+    ),
 }
 
 
-@pytest.mark.parametrize("value", [*LEGACY_VALUES, "redis"])
-@pytest.mark.parametrize("reader", sorted(READERS))
-def test_legacy_history_backend_key(reader, value, tmp_path, text_dataset):
-    read, error = READERS[reader]
-    if value in LEGACY_VALUES:
+def cases(match):
+    """``(reader, value)`` pairs of every reader whose error matches ``match``."""
+    return [
+        (reader, value)
+        for reader, (_, _, row_match, accepted, rejected) in sorted(READERS.items())
+        if row_match == match
+        for value in (*accepted, *rejected)
+    ]
+
+
+def check_reader(reader, value, tmp_path, text_dataset):
+    read, error, match, accepted, _ = READERS[reader]
+    if value in accepted:
         read(value, tmp_path, text_dataset)
     else:
-        with pytest.raises(error, match=KEY):
+        with pytest.raises(error, match=match):
             read(value, tmp_path, text_dataset)
+
+
+@pytest.mark.parametrize("reader, value", cases(KEY))
+def test_legacy_history_backend_key(reader, value, tmp_path, text_dataset):
+    check_reader(reader, value, tmp_path, text_dataset)
+
+
+@pytest.mark.parametrize("reader, value", cases(QUEUE_KEY) + cases(FRESH_QUEUE))
+def test_legacy_queue_backend(reader, value, tmp_path, text_dataset):
+    check_reader(reader, value, tmp_path, text_dataset)
