@@ -19,7 +19,21 @@ Quickstart::
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
+
+Importing the package pins the BLAS/OpenMP runtimes to one thread unless
+the caller already chose a count (e.g. ``OPENBLAS_NUM_THREADS=4``).  The
+models' matrices are small, so threads only contend: a two-job pool on
+two cores ran slower than serial with the runtime's default thread count.
+numpy reads these variables once, when it loads BLAS, so they must be
+set before the first numpy import; every ``repro`` process (CLI, pool
+and queue workers, the service) imports this module first.
 """
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
 
 from .core import (
     ActiveLearningLoop,

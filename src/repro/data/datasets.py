@@ -70,6 +70,7 @@ class TextDataset:
         self.vocab = vocab
         self.num_classes = int(num_classes)
         self.name = name
+        self._occurrences: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -118,6 +119,28 @@ class TextDataset:
             totals = matrix.sum(axis=1, keepdims=True)
             np.divide(matrix, totals, out=matrix, where=totals > 0)
         return matrix
+
+    def token_occurrences(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The L1-normalised bag of words in sparse form: ``(rows, tokens, weights)``.
+
+        One entry per distinct (sentence, token) pair, sorted by row and
+        then token, with ``weights`` = count / sentence length — entry
+        ``k`` equals ``bag_of_words()[rows[k], tokens[k]]`` exactly, and
+        every other dense entry is zero.  Empty sentences have no entries.
+        Built once per dataset instance and cached (the sentences are
+        never modified), without materialising an ``(n, |V|)`` matrix.
+        """
+        if self._occurrences is None:
+            lengths = self.lengths()
+            tokens = np.concatenate([*self.sentences, np.zeros(0, dtype=np.int64)])
+            width = int(tokens.max(initial=0)) + 1
+            keys = np.repeat(np.arange(len(self), dtype=np.int64), lengths) * width + tokens
+            keys, counts = np.unique(keys, return_counts=True)
+            rows = keys // width
+            self._occurrences = (rows, keys % width, counts / lengths[rows])
+            for array in self._occurrences:
+                array.setflags(write=False)  # shared by every caller
+        return self._occurrences
 
     def class_counts(self) -> np.ndarray:
         """Number of samples per class, length ``num_classes``."""

@@ -5,6 +5,12 @@ retrains in milliseconds, exposes calibrated-enough probabilities for the
 uncertainty strategies, and — because the loss gradient of a log-linear
 model has closed form — supports the Expected Gradient Length strategy
 exactly (Eq. 5) without per-sample backprop.
+
+Training runs dense minibatches over the small labeled set's
+:meth:`~repro.data.datasets.TextDataset.bag_of_words`; inference over the
+(large) pool and test set sums weights over each sentence's token
+occurrences (:meth:`~repro.data.datasets.TextDataset.token_occurrences`),
+so no ``(n, |V|)`` matrix is built per prediction.
 """
 
 from __future__ import annotations
@@ -149,15 +155,24 @@ class LinearSoftmax(Classifier):
             raise NotFittedError("LinearSoftmax used before fit()")
         return self._weights, self._bias
 
-    def predict_proba(self, dataset: TextDataset) -> np.ndarray:
+    def _logits(self, dataset: TextDataset) -> np.ndarray:
+        """``bag_of_words() @ W + b`` as a segment sum over token occurrences."""
         weights, bias = self._require_fitted()
-        features = dataset.bag_of_words()
-        if features.shape[1] != weights.shape[0]:
+        if len(dataset.vocab) != weights.shape[0]:
             raise ConfigurationError(
                 f"vocabulary mismatch: model has {weights.shape[0]} features, "
-                f"dataset has {features.shape[1]}"
+                f"dataset has {len(dataset.vocab)}"
             )
-        return softmax(features @ weights + bias)
+        rows, tokens, values = dataset.token_occurrences()
+        logits = np.empty((len(dataset), weights.shape[1]))
+        for column in range(weights.shape[1]):
+            logits[:, column] = np.bincount(
+                rows, weights=values * weights[tokens, column], minlength=len(dataset)
+            )
+        return logits + bias
+
+    def predict_proba(self, dataset: TextDataset) -> np.ndarray:
+        return softmax(self._logits(dataset))
 
     def expected_gradient_lengths(self, dataset: TextDataset) -> np.ndarray:
         """Eq. (5) in closed form for a log-linear model.
@@ -167,10 +182,10 @@ class LinearSoftmax(Classifier):
         ``||p - e_y|| * sqrt(||x||^2 + 1)``.  The EGL score marginalises
         the norm over labels with weights ``p_y``.
         """
-        weights, bias = self._require_fitted()
-        features = dataset.bag_of_words()
-        probabilities = softmax(features @ weights + bias)
-        feature_norms = np.sqrt((features**2).sum(axis=1) + 1.0)
+        probabilities = softmax(self._logits(dataset))
+        rows, _, values = dataset.token_occurrences()
+        squared_norms = np.bincount(rows, weights=values**2, minlength=len(dataset))
+        feature_norms = np.sqrt(squared_norms + 1.0)
         # ||p - e_y||^2 = ||p||^2 - 2 p_y + 1, per candidate label y.
         squared = (probabilities**2).sum(axis=1, keepdims=True) - 2 * probabilities + 1.0
         residual_norms = np.sqrt(np.clip(squared, 0.0, None))

@@ -27,6 +27,7 @@ from functools import partial
 from types import SimpleNamespace
 
 from ..core.session import SessionEngine, SessionState
+from ..data.datasets import SequenceDataset
 from ..eval.curves import LearningCurve
 from ..eval.pipeline import MetricContext
 from ..exceptions import (
@@ -527,7 +528,7 @@ class SessionService:
                     f"session is not awaiting labels (state={engine.state.value!r}); "
                     "propose first"
                 )
-            answer = _ingest_answer(body)
+            answer = _ingest_answer(body, engine.train_dataset)
             if answer is None:
                 engine.ingest_labels(engine.pending)
             else:
@@ -601,13 +602,21 @@ class SessionService:
         }
 
 
-def _ingest_answer(body: dict) -> "tuple[list, list] | None":
+def _is_int64(value) -> bool:
+    """Whether a decoded JSON value is an integer (not a bool) in int64 range."""
+    return not isinstance(value, bool) and isinstance(value, int) and -(2**63) <= value < 2**63
+
+
+def _ingest_answer(body: dict, dataset) -> "tuple[list, list] | None":
     """An ingest body's ``(indices, labels)``, or ``None`` for the oracle.
 
     Only ``"oracle": true`` answers from the dataset's own labels; any
     other body must carry an ``indices`` list of int64-range integers and
-    a ``labels`` list.  JSON floats, strings, nulls and booleans are
-    rejected rather than coerced, so ``1.5`` never becomes sample 1.
+    a ``labels`` list: one class id per index for a text session, one
+    list of tag ids per index for a sequence session (``dataset`` says
+    which).  JSON floats, strings, nulls and booleans are rejected rather
+    than coerced, so ``1.5`` never becomes sample (or class) 1.  Lengths
+    and ranges are checked by :meth:`SessionEngine.ingest_labels`.
     """
     oracle = body.get("oracle", False)
     if not isinstance(oracle, bool):
@@ -620,7 +629,7 @@ def _ingest_answer(body: dict) -> "tuple[list, list] | None":
     for value in indices:
         if isinstance(value, bool) or not isinstance(value, int):
             raise IngestError(f"indices must be integers, got {value!r}")
-        if not -(2**63) <= value < 2**63:
+        if not _is_int64(value):
             raise IngestError(f"index {value} is out of range")
     labels = body.get("labels")
     if not isinstance(labels, list):
@@ -628,6 +637,15 @@ def _ingest_answer(body: dict) -> "tuple[list, list] | None":
             "ingest body needs 'labels' (a list, one per index) unless "
             "'oracle' is true"
         )
+    sequences = isinstance(dataset, SequenceDataset)
+    for label in labels:
+        if sequences:
+            if not (isinstance(label, list) and all(_is_int64(tag) for tag in label)):
+                raise IngestError(
+                    f"sequence labels must be lists of integer tag ids, got {label!r}"
+                )
+        elif not _is_int64(label):
+            raise IngestError(f"labels must be integer class ids, got {label!r}")
     return indices, labels
 
 

@@ -76,6 +76,20 @@ class TestTextDataset:
         bow = small_text.bag_of_words(normalize=False)
         assert bow[2, 2] == 1.0  # token id 2 appears once in sentence 2
 
+    def test_token_occurrences_rebuild_bag_of_words_exactly(self):
+        vocab = Vocabulary([f"t{i}" for i in range(8)])
+        dataset = TextDataset([[2, 3, 2, 2], [], [9, 4], [5]], [0, 1, 0, 1], vocab, 2)
+        rows, tokens, weights = dataset.token_occurrences()
+        assert rows.tolist() == [0, 0, 2, 2, 3]
+        assert tokens.tolist() == [2, 3, 4, 9, 5]
+        dense = np.zeros((len(dataset), len(vocab)))
+        dense[rows, tokens] = weights
+        assert np.array_equal(dense, dataset.bag_of_words())
+
+    def test_token_occurrences_of_empty_dataset(self, small_text):
+        rows, tokens, weights = small_text.subset([]).token_occurrences()
+        assert rows.size == tokens.size == weights.size == 0
+
     def test_class_counts(self, small_text):
         assert small_text.class_counts().tolist() == [2, 1]
 

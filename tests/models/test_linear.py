@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.data.datasets import TextDataset
+from repro.data.vocab import Vocabulary
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.models.layers import Adam, minibatches, one_hot, softmax
 from repro.models.linear import LinearSoftmax
+from repro.rng import ensure_rng
 
 
 class TestFitPredict:
@@ -125,3 +130,105 @@ class TestValidation:
         assert "unfitted" in repr(model)
         model.fit(text_dataset.subset(range(50)))
         assert "fitted" in repr(model)
+
+
+# -- sparse inference against the dense bag-of-words oracle -------------------
+
+
+@st.composite
+def corpora(draw):
+    """A random corpus (empty sentences and repeated tokens included), a
+    ``subset()`` view of it with repeated indices, and bounded parameters."""
+    vocab_size = draw(st.integers(2, 12))
+    num_classes = draw(st.integers(2, 4))
+    sentences = draw(st.lists(
+        st.lists(st.integers(0, vocab_size - 1), max_size=10), min_size=1, max_size=25
+    ))
+    labels = draw(st.lists(
+        st.integers(0, num_classes - 1), min_size=len(sentences), max_size=len(sentences)
+    ))
+    vocab = Vocabulary([f"t{i}" for i in range(vocab_size - 2)])
+    dataset = TextDataset(sentences, labels, vocab, num_classes)
+    view = dataset.subset(draw(st.lists(st.integers(0, len(dataset) - 1), max_size=30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # |logit| <= 2 keeps every class probability well away from 0 and 1,
+    # where the closed-form EGL residual ||p - e_y|| loses relative precision.
+    params = {
+        "arrays": {
+            "W": rng.uniform(-1, 1, (vocab_size, num_classes)).tolist(),
+            "b": rng.uniform(-1, 1, num_classes).tolist(),
+        },
+        "meta": {"num_classes": num_classes},
+    }
+    return dataset, view, LinearSoftmax().set_params(params)
+
+
+def dense_proba(model, dataset):
+    return softmax(dataset.bag_of_words() @ model.weights + model._bias)
+
+
+def dense_egl(model, dataset):
+    """The closed-form EGL evaluated on the dense bag-of-words matrix."""
+    features = dataset.bag_of_words()
+    probabilities = dense_proba(model, dataset)
+    squared = (probabilities**2).sum(axis=1, keepdims=True) - 2 * probabilities + 1.0
+    expected = (probabilities * np.sqrt(np.clip(squared, 0.0, None))).sum(axis=1)
+    return expected * np.sqrt((features**2).sum(axis=1) + 1.0)
+
+
+def dense_fit(model, dataset):
+    """``LinearSoftmax.fit`` written out over the dense bag-of-words matrix."""
+    rng = ensure_rng(model.seed)
+    features = dataset.bag_of_words()
+    targets = one_hot(dataset.labels, dataset.num_classes)
+    weights = np.zeros((features.shape[1], dataset.num_classes))
+    bias = np.zeros(dataset.num_classes)
+    optimizer = Adam(learning_rate=model.learning_rate)
+    params = {"W": weights, "b": bias}
+    for _ in range(model.epochs):
+        for batch in minibatches(len(dataset), model.batch_size, rng):
+            x = features[batch]
+            delta = (softmax(x @ weights + bias) - targets[batch]) / len(batch)
+            optimizer.update(params, {"W": x.T @ delta + model.l2 * weights, "b": delta.sum(axis=0)})
+    return weights, bias
+
+
+class TestSparseInferenceOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(corpora())
+    def test_predict_proba_matches_dense(self, corpus):
+        dataset, view, model = corpus
+        for part in (dataset, view):
+            np.testing.assert_allclose(
+                model.predict_proba(part), dense_proba(model, part), rtol=1e-12, atol=0
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpora())
+    def test_egl_matches_dense_closed_form(self, corpus):
+        dataset, view, model = corpus
+        for part in (dataset, view):
+            np.testing.assert_allclose(
+                model.expected_gradient_lengths(part), dense_egl(model, part),
+                rtol=1e-12, atol=0,
+            )
+
+    @settings(max_examples=30, deadline=None)
+    @given(corpora())
+    def test_fit_is_bit_identical_to_dense_fit(self, corpus):
+        dataset, _, _ = corpus
+        model = LinearSoftmax(epochs=3, batch_size=4, seed=7).fit(dataset)
+        weights, bias = dense_fit(model, dataset)
+        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(model._bias, bias)
+
+    def test_token_occurrences_are_cached_per_instance(self, text_dataset):
+        view = text_dataset.subset(range(30))
+        assert view.token_occurrences() is view.token_occurrences()
+
+    @pytest.mark.parametrize("method", ["predict_proba", "expected_gradient_lengths"])
+    def test_vocabulary_mismatch_rejected(self, fitted_classifier, method):
+        vocab = Vocabulary([f"t{i}" for i in range(5)])
+        other = TextDataset([[2, 3], []], [0, 1], vocab, num_classes=2)
+        with pytest.raises(ConfigurationError, match="vocabulary mismatch"):
+            getattr(fitted_classifier, method)(other)

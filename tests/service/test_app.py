@@ -40,6 +40,9 @@ RECIPE = {
     "seed": 3,
 }
 
+#: A sequence-labeling (NER) session: labels are one tag-id list per sample.
+SEQUENCE_RECIPE = dict(RECIPE, dataset="conll-en", batch_size=5)
+
 
 def serial_reference(recipe) -> str:
     """The JSON audit trail of a plain engine run — the ground truth."""
@@ -266,13 +269,18 @@ class TestDispatch:
         assert status == 400
         assert payload["error_type"] == "IngestError"
 
-    def _assert_ingest_rejected(self, service, make_body):
-        """``make_body(pending)`` is a 400 IngestError that commits nothing."""
-        dispatch(service, "POST", "/sessions", body={"recipe": RECIPE, "id": "s1"})
+    def _assert_ingest_rejected(self, service, make_body, recipe=RECIPE):
+        """``make_body(pending, labels)`` is a 400 IngestError that commits
+        nothing; ``labels`` is a well-formed answer for ``pending``."""
+        dispatch(service, "POST", "/sessions", body={"recipe": recipe, "id": "s1"})
         _, proposal = dispatch(service, "POST", "/sessions/s1/propose")
         pending = proposal["indices"]
+        if recipe is SEQUENCE_RECIPE:
+            labels = [[0] * len(sample["text"].split()) for sample in proposal["samples"]]
+        else:
+            labels = [0] * len(pending)
         status, payload = dispatch(
-            service, "POST", "/sessions/s1/ingest", body=make_body(pending)
+            service, "POST", "/sessions/s1/ingest", body=make_body(pending, labels)
         )
         assert status == 400
         assert payload["error_type"] == "IngestError"
@@ -282,18 +290,18 @@ class TestDispatch:
         # The session still accepts a well-formed answer afterwards.
         status, _ = dispatch(
             service, "POST", "/sessions/s1/ingest",
-            body={"indices": pending, "labels": [0] * len(pending)},
+            body={"indices": pending, "labels": labels},
         )
         assert status == 200
 
     @pytest.mark.parametrize(
         "make_body",
         [
-            lambda pending: {"indices": pending},
-            lambda pending: {"indices": pending, "labels": None},
-            lambda pending: {"indices": pending, "label": [0] * len(pending)},
-            lambda pending: {"oracle": "true"},
-            lambda pending: {"oracle": 1, "indices": pending},
+            lambda pending, labels: {"indices": pending},
+            lambda pending, labels: {"indices": pending, "labels": None},
+            lambda pending, labels: {"indices": pending, "label": labels},
+            lambda pending, labels: {"oracle": "true"},
+            lambda pending, labels: {"oracle": 1, "indices": pending},
         ],
         ids=["no-labels", "null-labels", "typo-labels", "string-oracle", "int-oracle"],
     )
@@ -307,9 +315,43 @@ class TestDispatch:
     def test_non_integer_index_is_400(self, service, bad):
         self._assert_ingest_rejected(
             service,
-            lambda pending: {
-                "indices": [bad] + pending[1:], "labels": [0] * len(pending)
+            lambda pending, labels: {"indices": [bad] + pending[1:], "labels": labels},
+        )
+
+    @pytest.mark.parametrize(
+        "bad", ["1", 1.5, 1.0, None, True, [0], 2**64],
+        ids=["str", "1.5", "1.0", "null", "bool", "list", "2**64"],
+    )
+    def test_non_integer_text_label_is_400(self, service, bad):
+        self._assert_ingest_rejected(
+            service,
+            lambda pending, labels: {"indices": pending, "labels": [bad] + labels[1:]},
+        )
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda tags: 0,
+            lambda tags: "O",
+            lambda tags: None,
+            lambda tags: [1.5] + tags[1:],
+            lambda tags: ["0"] + tags[1:],
+            lambda tags: [None] + tags[1:],
+            lambda tags: [True] + tags[1:],
+            lambda tags: [2**64] + tags[1:],
+            lambda tags: tags[1:],
+            lambda tags: tags + [0],
+        ],
+        ids=["int", "str", "null", "float-tag", "str-tag", "null-tag", "bool-tag",
+             "2**64-tag", "too-short", "too-long"],
+    )
+    def test_malformed_sequence_label_is_400(self, service, corrupt):
+        self._assert_ingest_rejected(
+            service,
+            lambda pending, labels: {
+                "indices": pending, "labels": [corrupt(labels[0])] + labels[1:]
             },
+            recipe=SEQUENCE_RECIPE,
         )
 
     def test_client_ingest_without_labels_is_rejected(self, client):
