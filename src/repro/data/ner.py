@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..rng import ensure_rng
+from ..rng import choice_cdf, ensure_rng
 from .datasets import SequenceDataset
 from .tagging import bio_to_bioes
 from .vocab import Vocabulary
@@ -81,6 +81,10 @@ class NERCorpusSpec:
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ConfigurationError(f"size must be positive, got {self.size}")
+        if self.background_vocab < 1:
+            raise ConfigurationError(
+                f"background_vocab must be >= 1, got {self.background_vocab}"
+            )
         if self.mean_length < 3:
             raise ConfigurationError(f"mean_length must be >= 3, got {self.mean_length}")
         if self.max_entity_length < 1:
@@ -113,7 +117,13 @@ def make_ner_corpus(
     spec: NERCorpusSpec,
     seed_or_rng: "int | np.random.Generator | None" = None,
 ) -> SequenceDataset:
-    """Generate a BIOES-tagged :class:`SequenceDataset` from ``spec``."""
+    """Generate a BIOES-tagged :class:`SequenceDataset` from ``spec``.
+
+    Like :func:`~repro.data.text.make_text_corpus`, every draw is the one
+    ``Generator.choice`` would make internally, issued in the same order
+    with the same sizes, so the corpus is bit-identical to the plain
+    ``choice`` formulation.
+    """
     rng = ensure_rng(seed_or_rng)
     vocab = Vocabulary()
     background_ids = np.array(
@@ -139,8 +149,9 @@ def make_ner_corpus(
     ranks = np.arange(1, spec.background_vocab + 1, dtype=np.float64)
     background_probs = ranks**-spec.zipf_exponent
     background_probs /= background_probs.sum()
+    background_cdf = choice_cdf(background_probs)
     # MISC is rarer than the other types, as in CoNLL.
-    type_probs = np.array([0.32, 0.27, 0.29, 0.12])
+    type_cdf = choice_cdf(np.array([0.32, 0.27, 0.29, 0.12]))
 
     tag_names = bioes_tag_names()
     tag_ids = {tag: i for i, tag in enumerate(tag_names)}
@@ -156,19 +167,21 @@ def make_ner_corpus(
         while len(tokens) < length:
             budget = length - len(tokens)
             if remaining_entities > 0 and budget >= 2 and rng.random() < 0.5:
-                entity_type = ENTITY_TYPES[rng.choice(len(ENTITY_TYPES), p=type_probs)]
+                entity_type = ENTITY_TYPES[type_cdf.searchsorted(rng.random(), side="right")]
                 if rng.random() < spec.trigger_prob:
-                    tokens.append(int(rng.choice(triggers[entity_type])))
+                    trigger = rng.integers(0, spec.trigger_words)
+                    tokens.append(int(triggers[entity_type][trigger]))
                     bio_tags.append("O")
                     budget -= 1
                 span = int(rng.integers(1, min(spec.max_entity_length, max(1, budget)) + 1))
-                mention = rng.choice(gazetteers[entity_type], size=span)
-                tokens.extend(int(t) for t in mention)
+                mention = rng.integers(0, spec.gazetteer_size, size=span)
+                tokens.extend(gazetteers[entity_type][mention].tolist())
                 bio_tags.append(f"B-{entity_type}")
                 bio_tags.extend(f"I-{entity_type}" for _ in range(span - 1))
                 remaining_entities -= 1
             else:
-                tokens.append(int(rng.choice(background_ids, p=background_probs)))
+                word = background_cdf.searchsorted(rng.random(), side="right")
+                tokens.append(int(background_ids[word]))
                 bio_tags.append("O")
         tokens = tokens[:length]
         bio_tags = bio_tags[:length]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..rng import ensure_rng
+from ..rng import choice_cdf, ensure_rng
 from .datasets import TextDataset
 from .vocab import Vocabulary
 
@@ -97,6 +97,10 @@ class TextCorpusSpec:
             raise ConfigurationError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.size <= 0:
             raise ConfigurationError(f"size must be positive, got {self.size}")
+        if self.background_vocab < 1:
+            raise ConfigurationError(
+                f"background_vocab must be >= 1, got {self.background_vocab}"
+            )
         if self.facets_per_class < 1 or self.facet_vocab < 1:
             raise ConfigurationError("facets_per_class and facet_vocab must be >= 1")
         if not 1 <= self.facets_per_sample <= self.facets_per_class:
@@ -169,24 +173,35 @@ def make_text_corpus(
 
     * ``pretrained_mask`` — boolean per-vocab-id flag mirroring V_pre;
     * ``ambiguous_mask`` — boolean per-sample flag for boundary samples.
+
+    Every draw is the one ``Generator.choice`` would make internally
+    (:func:`~repro.rng.choice_cdf` for weighted draws,
+    ``integers(0, n, size)`` for uniform picks from an array), issued in
+    the same order with the same sizes, so the random stream — and hence
+    the corpus — is that of the plain ``choice`` formulation, bit for bit.
     """
     rng = ensure_rng(seed_or_rng)
     vocab = Vocabulary()
     background_ids = np.array(
         [vocab.add(f"w{i}") for i in range(spec.background_vocab)], dtype=np.int64
     )
-    facet_ids = {
-        (cls, facet): np.array(
-            [vocab.add(f"c{cls}f{facet}_{i}") for i in range(spec.facet_vocab)],
-            dtype=np.int64,
-        )
-        for cls in range(spec.num_classes)
-        for facet in range(spec.facets_per_class)
-    }
+    # lexicon[cls, facet] holds that facet's indicative word ids.
+    lexicon = np.array(
+        [
+            [
+                [vocab.add(f"c{cls}f{facet}_{i}") for i in range(spec.facet_vocab)]
+                for facet in range(spec.facets_per_class)
+            ]
+            for cls in range(spec.num_classes)
+        ],
+        dtype=np.int64,
+    )
     vocab.freeze()
 
-    background_probs = _zipf_probabilities(spec.background_vocab, spec.zipf_exponent)
-    facet_probs = _zipf_probabilities(spec.facets_per_class, spec.facet_zipf)
+    background_cdf = choice_cdf(
+        _zipf_probabilities(spec.background_vocab, spec.zipf_exponent)
+    )
+    facet_cdf = choice_cdf(_zipf_probabilities(spec.facets_per_class, spec.facet_zipf))
     priors = (
         np.asarray(spec.class_priors, dtype=np.float64)
         if spec.class_priors
@@ -194,7 +209,7 @@ def make_text_corpus(
     )
     priors = priors / priors.sum()
 
-    labels = rng.choice(spec.num_classes, size=spec.size, p=priors)
+    labels = choice_cdf(priors).searchsorted(rng.random(spec.size), side="right")
     lengths = rng.integers(spec.min_length, spec.max_length + 1, size=spec.size)
     purities = rng.beta(spec.purity_alpha, spec.purity_beta, size=spec.size)
     ambiguous = rng.random(spec.size) < spec.ambiguous_fraction
@@ -203,27 +218,30 @@ def make_text_corpus(
     ) % spec.num_classes
     mix_shares = rng.uniform(0.3, 0.5, size=spec.size)  # share of the *other* class
 
+    # np.rint rounds half to even, like round(); purity < 1 keeps
+    # n_indicative <= length, so n_background is never negative.
+    n_indicative = np.maximum(1, np.rint(lengths * purities)).astype(np.int64)
+    n_background = lengths - n_indicative
+    n_other = np.rint(n_indicative * mix_shares).astype(np.int64)
+    own_size = spec.facets_per_sample * spec.facet_vocab
+
     sentences: list[np.ndarray] = []
     for i in range(spec.size):
-        length = int(lengths[i])
-        n_indicative = max(1, int(round(length * purities[i])))
-        n_background = max(0, length - n_indicative)
-        facets = rng.choice(
-            spec.facets_per_class, size=spec.facets_per_sample, p=facet_probs
-        )
-        own_lexicon = np.concatenate([facet_ids[(labels[i], f)] for f in facets])
-        tokens = [rng.choice(background_ids, size=n_background, p=background_probs)]
+        facets = facet_cdf.searchsorted(rng.random(spec.facets_per_sample), side="right")
+        own_lexicon = lexicon[labels[i], facets].ravel()
+        background = background_ids[
+            background_cdf.searchsorted(rng.random(n_background[i]), side="right")
+        ]
         if ambiguous[i]:
-            n_other = int(round(n_indicative * mix_shares[i]))
-            n_own = n_indicative - n_other
-            other_facet = rng.choice(spec.facets_per_class, p=facet_probs)
-            tokens.append(rng.choice(own_lexicon, size=n_own))
-            tokens.append(
-                rng.choice(facet_ids[(other_classes[i], other_facet)], size=n_other)
-            )
+            other_facet = facet_cdf.searchsorted(rng.random(), side="right")
+            n_own = n_indicative[i] - n_other[i]
+            own = own_lexicon[rng.integers(0, own_size, size=n_own)]
+            other_lexicon = lexicon[other_classes[i], other_facet]
+            other = other_lexicon[rng.integers(0, spec.facet_vocab, size=n_other[i])]
+            sentence = np.concatenate((background, own, other))
         else:
-            tokens.append(rng.choice(own_lexicon, size=n_indicative))
-        sentence = np.concatenate(tokens)
+            own = own_lexicon[rng.integers(0, own_size, size=n_indicative[i])]
+            sentence = np.concatenate((background, own))
         rng.shuffle(sentence)
         sentences.append(sentence)
 

@@ -97,6 +97,19 @@ def _state_from_jsonable(value):
     return value
 
 
+def choice_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """The normalised CDF ``Generator.choice`` derives from ``p`` on every call.
+
+    ``cdf.searchsorted(rng.random(n), side="right")`` is then exactly the
+    weighted draw ``rng.choice(len(p), size=n, p=p)`` makes: the same
+    uniforms consumed, the same indices returned, without re-validating
+    ``p`` and recomputing the cumsum per call.
+    """
+    cdf = np.cumsum(probabilities, dtype=np.float64)
+    cdf /= cdf[-1]
+    return cdf
+
+
 def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     """Derive ``n`` independent child generators from ``rng``.
 

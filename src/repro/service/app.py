@@ -55,7 +55,7 @@ from ..specs import (
 )
 from ..specs.experiment import drop_legacy_snapshot_options
 from .events import SessionEventFeed
-from .store import SessionStore
+from .store import SessionStore, checked_session_id
 
 __all__ = [
     "RECIPE_DEFAULTS",
@@ -319,14 +319,13 @@ class SessionService:
 
     # -- store plumbing ----------------------------------------------------
 
-    def _store_named(self, name: str) -> SessionStore:
-        """The store registered under ``name`` (400 if unknown)."""
-        try:
-            return self.stores[name]
-        except KeyError:
+    def _store_named(self, name) -> SessionStore:
+        """The store registered under ``name`` (400 if unknown or not a string)."""
+        if not isinstance(name, str) or name not in self.stores:
             raise ServiceError(
                 f"unknown store {name!r}; available: {sorted(self.stores)}", status=400
-            ) from None
+            )
+        return self.stores[name]
 
     def _find_store(self, session_id: str) -> "tuple[str, object] | None":
         """``(store_name, StoredSession)`` holding ``session_id``, or ``None``."""
@@ -360,8 +359,10 @@ class SessionService:
     def _session(self, session_id: str) -> _LiveSession:
         """The live session for ``session_id``, re-hydrating from its store.
 
-        Unknown ids raise :class:`~repro.exceptions.ServiceError` 404.
+        Unknown ids raise :class:`~repro.exceptions.ServiceError` 404,
+        illegal ones 400.
         """
+        _check_client_id(session_id)
         with self._lock:
             live = self._live.get(session_id)
             if live is not None:
@@ -416,7 +417,7 @@ class SessionService:
         session_id = body.get("id")
         if session_id is None:
             session_id = self._generated_id()
-        elif self._find_store(session_id) is not None:
+        elif self._find_store(_check_client_id(session_id)) is not None:
             raise StoreConflictError(f"session {session_id!r} already exists")
         train, test, model, strategy, settings = build_session_components(recipe)
         feed = SessionEventFeed()
@@ -575,7 +576,7 @@ class SessionService:
 
     def delete(self, session_id: str) -> dict:
         """Remove the session from memory and its store (404 if unknown)."""
-        found = self._find_store(session_id)
+        found = self._find_store(_check_client_id(session_id))
         if found is None and session_id not in self._live:
             raise ServiceError(f"unknown session {session_id!r}", status=404)
         with self._lock:
@@ -600,6 +601,19 @@ class SessionService:
             "default_store": self.default_store,
             "live_sessions": len(self._live),
         }
+
+
+def _check_client_id(session_id) -> str:
+    """``session_id`` if it is a legal store id; a 400 ``ServiceError`` if not.
+
+    The stores' own check raises :class:`~repro.exceptions.StoreError`,
+    which maps to HTTP 500 as a server-side fault; an id a client sent
+    in a body or URL path is a client error.
+    """
+    try:
+        return checked_session_id(session_id)
+    except StoreError as error:
+        raise ServiceError(str(error), status=400) from None
 
 
 def _is_int64(value) -> bool:

@@ -15,33 +15,62 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
+from ..exceptions import ServiceError
 from .app import SessionService, dispatch
 
-__all__ = ["SessionHTTPServer", "SessionRequestHandler", "make_server"]
+__all__ = ["MAX_BODY_BYTES", "SessionHTTPServer", "SessionRequestHandler", "make_server"]
+
+#: Largest accepted request body.  Recipes and ingest batches are a few
+#: KB; anything near this is a broken or hostile client.
+MAX_BODY_BYTES = 4 * 1024 * 1024
 
 
 class SessionRequestHandler(BaseHTTPRequestHandler):
     """Translates one HTTP request to a :func:`~repro.service.app.dispatch` call.
 
     Request bodies are JSON (read via ``Content-Length``); responses are
-    ``application/json`` with the status code dispatch chose.  A body
-    that is not valid JSON is rejected with 400 before touching the
-    service.
+    ``application/json`` with the status code dispatch chose.  Before
+    touching the service, a ``Content-Length`` that is not a decimal
+    integer is rejected with 400, one above :data:`MAX_BODY_BYTES` with
+    413 (the body is never read), and a body that is not valid JSON with
+    400.  The first two close the connection, since the request's
+    framing can no longer be trusted.
     """
 
     #: Stable even if the service lives behind a proxy that sniffs it.
     protocol_version = "HTTP/1.1"
 
+    #: ``TCP_NODELAY`` on every accepted socket.  A response goes out as
+    #: two writes (headers, then body); with Nagle on, a keep-alive
+    #: client's delayed ACK held the body back ~40 ms per request.
+    disable_nagle_algorithm = True
+
     def _read_body(self) -> "dict | None":
         """The request's JSON body, ``None`` when empty."""
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            self.close_connection = True
+            raise ServiceError(
+                f"Content-Length must be a non-negative integer, got {raw_length!r}",
+                status=400,
+            )
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ServiceError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                status=413,
+            )
         if length == 0:
             return None
         raw = self.rfile.read(length)
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ValueError(f"request body is not valid JSON: {error}") from error
+            raise ServiceError(
+                f"request body is not valid JSON: {error}", status=400
+            ) from error
 
     def _respond(self, status: int, payload: dict) -> None:
         """Send ``payload`` as a JSON response with ``status``."""
@@ -49,6 +78,8 @@ class SessionRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -57,8 +88,9 @@ class SessionRequestHandler(BaseHTTPRequestHandler):
         url = urlsplit(self.path)
         try:
             body = self._read_body()
-        except ValueError as error:
-            self._respond(400, {"error": str(error), "error_type": "ServiceError"})
+        except ServiceError as error:
+            payload = {"error": str(error), "error_type": "ServiceError"}
+            self._respond(error.status, payload)
             return
         status, payload = dispatch(
             self.server.service, method, url.path, dict(parse_qsl(url.query)), body

@@ -43,6 +43,10 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             small_spec(size=0)
 
+    def test_empty_background_vocab(self):
+        with pytest.raises(ConfigurationError, match="background_vocab"):
+            small_spec(background_vocab=0)
+
     def test_bad_mean_length(self):
         with pytest.raises(ConfigurationError):
             small_spec(mean_length=1.0)

@@ -40,6 +40,10 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             small_spec(min_length=10, max_length=5)
 
+    def test_empty_background_vocab(self):
+        with pytest.raises(ConfigurationError, match="background_vocab"):
+            small_spec(background_vocab=0)
+
     def test_bad_ambiguity(self):
         with pytest.raises(ConfigurationError):
             small_spec(ambiguous_fraction=1.0)

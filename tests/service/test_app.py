@@ -10,6 +10,7 @@ multi-tenancy, persistence, and events, never arithmetic.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.session import SessionEngine, run_to_completion
 from repro.exceptions import (
@@ -21,6 +22,7 @@ from repro.exceptions import (
 from repro.experiments import ExperimentConfig
 from repro.experiments.checkpoint import result_to_dict
 from repro.service import (
+    RECIPE_DEFAULTS,
     MemorySessionStore,
     SessionClient,
     SessionService,
@@ -425,11 +427,98 @@ class TestDispatch:
         assert status == 200
         assert payload["id"] == "s1"
 
+    @pytest.mark.parametrize("store", [[], {}, ["memory"], 1, None, True])
+    def test_non_string_store_is_400(self, service, store):
+        status, payload = dispatch(
+            service, "POST", "/sessions", body={"recipe": RECIPE, "store": store}
+        )
+        assert status == 400
+        assert payload["error_type"] == "ServiceError"
+        assert "unknown store" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [7, 1.5, True, [], {}, "", "a/b", "../x", "-x", pytest.param("x" * 101, id="long")],
+    )
+    def test_illegal_body_id_is_400(self, service, bad):
+        status, payload = dispatch(
+            service, "POST", "/sessions", body={"recipe": RECIPE, "id": bad}
+        )
+        assert status == 400
+        assert payload["error_type"] == "ServiceError"
+        assert "illegal session id" in payload["error"]
+        assert dispatch(service, "GET", "/sessions")[1]["sessions"] == []
+
+    @pytest.mark.parametrize(
+        ("method", "suffix"),
+        [
+            ("GET", ""),
+            ("DELETE", ""),
+            ("POST", "/propose"),
+            ("POST", "/ingest"),
+            ("GET", "/result"),
+            ("GET", "/events"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "bad", ["bad$id", "-x", "%2E%2E", pytest.param("x" * 101, id="long")]
+    )
+    def test_illegal_path_id_is_400(self, service, method, suffix, bad):
+        status, payload = dispatch(service, method, f"/sessions/{bad}{suffix}")
+        assert status == 400
+        assert payload["error_type"] == "ServiceError"
+        assert "illegal session id" in payload["error"]
+
     def test_client_re_raises_domain_exceptions(self, client):
         client.create(RECIPE, session_id="s1")
         client.propose("s1")
         with pytest.raises(IngestError, match="indices"):
             client.ingest("s1")
+
+
+#: Any value ``json.loads`` can return (it accepts NaN and Infinity too).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=12), children, max_size=4),
+    max_leaves=10,
+)
+
+#: Recipes that get past the shape check, so their fields are exercised.
+RECIPES = JSON_VALUES | st.fixed_dictionaries(
+    {"dataset": JSON_VALUES, "strategy": JSON_VALUES},
+    optional={key: JSON_VALUES for key in (*RECIPE_DEFAULTS, "experiment")},
+)
+
+CREATE_BODIES = JSON_VALUES | st.fixed_dictionaries(
+    {},
+    optional={
+        "recipe": RECIPES,
+        "store": JSON_VALUES | st.just("memory"),
+        "id": JSON_VALUES | st.from_regex(r"[A-Za-z0-9][A-Za-z0-9._-]{0,8}", fullmatch=True),
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=CREATE_BODIES)
+def test_create_never_fails_server_side(body):
+    """Any JSON create body gets a JSON reply with a client-error status.
+
+    Nothing a client sends may escape as an uncaught exception (which
+    the HTTP server turns into a dropped connection) or a 5xx.
+    """
+    service = SessionService({"memory": MemorySessionStore()})
+    status, payload = dispatch(service, "POST", "/sessions", body=body)
+    assert isinstance(status, int) and status < 500, (status, payload)
+    assert isinstance(payload, dict)
+    json.dumps(payload)
+    if status >= 400:
+        assert set(payload) == {"error", "error_type"}
 
 
 class TestStatusMetrics:

@@ -7,7 +7,9 @@ in-process reference byte-for-byte.  Transport and tenancy must be
 invisible in the results.
 """
 
+import http.client
 import json
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -16,11 +18,13 @@ import pytest
 from repro.exceptions import ServiceError, SessionError, StoreConflictError
 from repro.service import (
     JsonSessionStore,
+    MemorySessionStore,
     SessionClient,
     SessionService,
     SqliteSessionStore,
     make_server,
 )
+from repro.service.server import MAX_BODY_BYTES, SessionRequestHandler
 
 from .test_app import RECIPE, drive, serial_reference
 
@@ -99,3 +103,114 @@ class TestHttpTransport:
         assert served == references
         # Different seeds genuinely exercise different trajectories.
         assert len(set(references)) > 1
+
+
+@pytest.fixture
+def live_server():
+    """A served in-memory service; yields the bound server."""
+    server = make_server(SessionService({"memory": MemorySessionStore()}))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+class NoDelayRecordingHandler(SessionRequestHandler):
+    """Records each accepted socket's ``TCP_NODELAY`` option after setup."""
+
+    recorded: "list[int]" = []
+
+    def setup(self) -> None:
+        super().setup()
+        self.recorded.append(
+            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+
+
+def raw_exchange(server, request: bytes, timeout: float = 10.0):
+    """Send raw request bytes; return ``(response, payload, closed)``.
+
+    ``closed`` says whether the server hung up after its reply.  Every
+    socket operation is bounded by ``timeout``, so a handler stuck
+    reading a body that never comes fails the test instead of hanging.
+    """
+    port = server.server_address[1]
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(request)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        payload = json.loads(response.read())
+        try:
+            closed = sock.recv(1) == b""
+        except ConnectionResetError:
+            closed = True
+    return response, payload, closed
+
+
+def post_head(content_length: str) -> bytes:
+    """A POST /sessions head announcing ``content_length``, with no body."""
+    return (
+        "POST /sessions HTTP/1.1\r\n"
+        "Host: 127.0.0.1\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n"
+        "\r\n"
+    ).encode("ascii")
+
+
+class TestHttpBoundary:
+    def test_accepted_sockets_disable_nagle(self, live_server):
+        NoDelayRecordingHandler.recorded = []
+        live_server.RequestHandlerClass = NoDelayRecordingHandler
+        port = live_server.server_address[1]
+        client = SessionClient.http(f"http://127.0.0.1:{port}")
+        assert client.health()["status"] == "ok"
+        assert NoDelayRecordingHandler.recorded
+        assert all(value != 0 for value in NoDelayRecordingHandler.recorded)
+
+    @pytest.mark.parametrize("length", ["-1", "-5", "abc", "1.5", "0x10", "1_0"])
+    def test_malformed_content_length_is_400(self, live_server, length):
+        response, payload, closed = raw_exchange(live_server, post_head(length))
+        assert response.status == 400
+        assert payload["error_type"] == "ServiceError"
+        assert "Content-Length" in payload["error"]
+        assert response.getheader("Connection") == "close"
+        assert closed
+
+    def test_oversized_body_is_413_without_reading_it(self, live_server):
+        response, payload, closed = raw_exchange(
+            live_server, post_head(str(MAX_BODY_BYTES + 1))
+        )
+        assert response.status == 413
+        assert payload["error_type"] == "ServiceError"
+        assert response.getheader("Connection") == "close"
+        assert closed
+
+    def test_body_at_the_cap_is_read(self, live_server):
+        prefix, suffix = b'{"pad": "', b'"}'
+        body = prefix + b"x" * (MAX_BODY_BYTES - len(prefix) - len(suffix)) + suffix
+        assert len(body) == MAX_BODY_BYTES
+        head = post_head(str(len(body)))
+        head = head.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n")
+        response, payload, _closed = raw_exchange(live_server, head + body)
+        assert response.status == 400
+        assert "recipe must be a JSON object" in payload["error"]
+
+    def test_keep_alive_survives_a_rejected_json_body(self, live_server):
+        port = live_server.server_address[1]
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            connection.request("POST", "/sessions", body=b"{not json")
+            first = connection.getresponse()
+            assert first.status == 400
+            first.read()
+            connection.request("GET", "/healthz")
+            second = connection.getresponse()
+            assert second.status == 200
+            assert json.loads(second.read())["status"] == "ok"
+        finally:
+            connection.close()
