@@ -3,12 +3,13 @@
 Times the layers the per-round cost of an active-learning run is made
 of — history append/window ops, LHS feature extraction, LambdaMART fit,
 a small end-to-end comparison, the sequence-model kernels (batched
-LSTM predictor inference, bucketed CRF/BiLSTM-CRF tagging, MC-dropout
-reuse, the per-round prediction cache), the million-sample pool
+LSTM predictor inference, the packed CRF lattice for BiLSTM-CRF and
+CRF tagging and CRF training, MC-dropout reuse, the per-round
+prediction cache), the million-sample pool
 paths (partial top-k selection, history append at scale), and the broker-less distributed grid (cells/sec at
 1/2/4 workers, stale-lease reclaim latency) — against the
 retained ``_*_reference``/oracle implementations of the per-sample
-code paths, and writes the measurements to ``BENCH_hotpaths.json``,
+code paths (``tests/oracles.py`` for the CRF), and writes the measurements to ``BENCH_hotpaths.json``,
 ``BENCH_seqmodels.json``, ``BENCH_poolscale.json``,
 ``BENCH_distscale.json``, ``BENCH_warmstart.json`` (cold-vs-warm
 end-to-end training per model family), and ``BENCH_service.json``
@@ -50,6 +51,8 @@ try:
 except ImportError:  # running from a checkout without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     import repro  # noqa: F401
+# the per-sentence CRF oracles live with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import numpy as np
 
@@ -63,7 +66,12 @@ from repro.core.prediction_cache import PredictionCache
 from repro.core.selection import top_k_indices, top_k_reference
 from repro.core.strategies import Entropy, Random, WSHS
 from repro.core.strategies.base import SelectionContext
-from repro.data.ner import NERCorpusSpec, make_ner_corpus
+from repro.data.ner import (
+    NERCorpusSpec,
+    conll2002_spanish,
+    conll2003_english,
+    make_ner_corpus,
+)
 from repro.data.text import TextCorpusSpec, make_text_corpus
 from repro.experiments import (
     ExperimentConfig,
@@ -101,6 +109,7 @@ from repro.models.lstm import LSTMRegressor
 from repro.models.mlp import MLPClassifier
 from repro.models.textcnn import TextCNN
 from repro.timeseries.mann_kendall import mann_kendall_test
+from tests import oracles
 
 OUTPUT_DEFAULT = Path(__file__).resolve().parent.parent / "BENCH_hotpaths.json"
 SEQ_OUTPUT_DEFAULT = Path(__file__).resolve().parent.parent / "BENCH_seqmodels.json"
@@ -411,44 +420,88 @@ def bench_lstm_predictor(n_sequences: int, repeats: int) -> dict:
 
 
 def bench_crf_tagging(n_sentences: int, repeats: int) -> dict:
-    """Bucketed CRF Viterbi + marginals vs the per-sentence reference."""
+    """Packed-lattice CRF inference vs the per-sentence oracles.
+
+    Emissions are computed once and shared, as the per-round cache does,
+    so each row times the lattice alone: Viterbi tags, ``log p(y*|x)``
+    (Viterbi plus the forward pass) and token marginals.  Outputs are
+    asserted bit-for-bit equal before any timing counts.
+    """
     dataset = _ner_dataset(n_sentences)
     model = LinearChainCRF(epochs=2, seed=0).fit(dataset)
-
-    tags_new = _best_of(lambda: model.predict_tags(dataset), repeats)
-    tags_reference = _best_of(
-        lambda: model._predict_tags_reference(dataset), max(1, repeats - 1)
-    )
-    marginals_new = _best_of(lambda: model.token_marginals(dataset), repeats)
-    marginals_reference = _best_of(
-        lambda: model._token_marginals_reference(dataset), max(1, repeats - 1)
-    )
-    for batched, scalar in zip(
-        model.predict_tags(dataset), model._predict_tags_reference(dataset)
+    emissions = model.emissions(dataset)
+    for packed, scalar in zip(
+        model.predict_tags(dataset, emissions=emissions),
+        oracles.predict_tags_reference(model, dataset),
     ):
-        np.testing.assert_array_equal(batched, scalar)
-    return {
-        "n_sentences": n_sentences,
-        "tags_new_seconds": tags_new,
-        "tags_reference_seconds": tags_reference,
-        "tags_speedup": tags_reference / tags_new,
-        "marginals_new_seconds": marginals_new,
-        "marginals_reference_seconds": marginals_reference,
-        "marginals_speedup": marginals_reference / marginals_new,
-    }
+        np.testing.assert_array_equal(packed, scalar)
+    np.testing.assert_array_equal(
+        model.best_path_log_proba(dataset, emissions=emissions),
+        oracles.best_path_log_proba_reference(model, dataset),
+    )
+    for packed, scalar in zip(
+        model.token_marginals(dataset, emissions=emissions),
+        oracles.token_marginals_reference(model, dataset),
+    ):
+        np.testing.assert_array_equal(packed, scalar)
+    row: dict = {"n_sentences": n_sentences}
+    for name, packed, reference in (
+        ("tags", model.predict_tags, oracles.predict_tags_reference),
+        (
+            "logp",
+            model.best_path_log_proba,
+            oracles.best_path_log_proba_reference,
+        ),
+        ("marginals", model.token_marginals, oracles.token_marginals_reference),
+    ):
+        new = _best_of(lambda: packed(dataset, emissions=emissions), repeats)
+        old = _best_of(lambda: reference(model, dataset), max(1, repeats - 1))
+        row[f"{name}_new_seconds"] = new
+        row[f"{name}_reference_seconds"] = old
+        row[f"{name}_speedup"] = old / new
+    return row
+
+
+def bench_crf_fit(n_sentences: int, epochs: int, repeats: int) -> dict:
+    """``LinearChainCRF.fit`` (one packed lattice per minibatch) vs the
+    per-sentence gradient loop, on the conll-en and conll-es presets.
+
+    Fitted parameters are asserted bit-for-bit equal before timing.
+    """
+    results: dict = {"n_sentences": n_sentences, "epochs": epochs}
+    presets = (("conll-en", conll2003_english), ("conll-es", conll2002_spanish))
+    for name, generator in presets:
+        train = generator(scale=0.3, seed_or_rng=0).subset(range(n_sentences))
+
+        def model() -> LinearChainCRF:
+            return LinearChainCRF(epochs=epochs, seed=0)
+
+        packed = model().fit(train)
+        for param, value in oracles.crf_fit_reference(model(), train).items():
+            np.testing.assert_array_equal(packed._params[param], value)
+        new = _best_of(lambda: model().fit(train), repeats)
+        old = _best_of(
+            lambda: oracles.crf_fit_reference(model(), train), max(1, repeats - 1)
+        )
+        results[name] = {
+            "fit_new_seconds": new,
+            "fit_reference_seconds": old,
+            "fit_speedup": old / new,
+        }
+    return results
 
 
 def bench_bilstm_tagging(n_sentences: int, repeats: int) -> dict:
-    """Batched BiLSTM-CRF decoding vs the per-sentence encoder reference."""
+    """Batched BiLSTM-CRF decoding vs the per-sentence encoder oracle."""
     dataset = _ner_dataset(n_sentences, seed=12)
     model = BiLSTMCRF(epochs=1, seed=0).fit(dataset)
 
     new_seconds = _best_of(lambda: model.predict_tags(dataset), repeats)
     reference_seconds = _best_of(
-        lambda: model._predict_tags_reference(dataset), max(1, repeats - 1)
+        lambda: oracles.predict_tags_reference(model, dataset), max(1, repeats - 1)
     )
     for batched, scalar in zip(
-        model.predict_tags(dataset), model._predict_tags_reference(dataset)
+        model.predict_tags(dataset), oracles.predict_tags_reference(model, dataset)
     ):
         np.testing.assert_array_equal(batched, scalar)
     return {
@@ -550,8 +603,19 @@ def run_seqmodels(quick: bool, repeats: int, output: Path) -> dict:
     print(
         "  CRF tagging:          "
         f"{results['crf_tagging']['tags_speedup']:6.1f}x Viterbi, "
+        f"{results['crf_tagging']['logp_speedup']:.1f}x log p(y*|x), "
         f"{results['crf_tagging']['marginals_speedup']:.1f}x marginals "
         "vs per-sentence lattices"
+    )
+
+    results["crf_fit"] = bench_crf_fit(
+        n_sentences=60 if quick else 200, epochs=2 if quick else 4, repeats=repeats
+    )
+    print(
+        "  CRF fit:              "
+        f"{results['crf_fit']['conll-en']['fit_speedup']:6.1f}x conll-en, "
+        f"{results['crf_fit']['conll-es']['fit_speedup']:.1f}x conll-es "
+        "vs per-sentence gradients"
     )
 
     results["bilstm_crf_tagging"] = bench_bilstm_tagging(

@@ -27,11 +27,14 @@ them.
 For CRF-output labelers that expose ``emissions(dataset)``
 (:class:`~repro.models.crf.LinearChainCRF`,
 :class:`~repro.models.bilstm_crf.BiLSTMCRF`), the emission matrices are
-cached once and shared by Viterbi decoding, path log-probabilities, and
+cached once and shared by Viterbi decoding, the log partition, and
 token marginals, so e.g. span-F1 evaluation plus an MNLP score reuse the
-same encoder pass.  Models exposing the fused ``decode()`` additionally
-share one Viterbi lattice walk between ``predict_tags`` and
-``best_path_log_proba`` — asking for both costs a single decode.
+same encoder pass.  Models exposing ``decode()`` and
+``predict_log_partition()`` have the Viterbi ``(paths, best_scores)``
+and ``log Z`` memoised separately: ``predict_tags`` costs Viterbi alone
+(test-set evaluation and flip tracking never run a forward pass), and
+``best_path_log_proba`` adds only the forward pass, returning
+``best - log_z``.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ class PredictionCache:
         )
 
     def _decode(self, model: SequenceLabeler, dataset: SequenceDataset):
-        """Cached fused ``(paths, log_probas)``, or ``None`` without it."""
+        """Cached Viterbi ``(paths, best_scores)``, or ``None`` without it."""
         if not hasattr(model, "decode"):
             return None
         emissions = self._emissions(model, dataset)
@@ -142,32 +145,29 @@ class PredictionCache:
     def predict_tags(
         self, model: SequenceLabeler, dataset: SequenceDataset
     ) -> list[np.ndarray]:
-        """Cached Viterbi decode, sharing emissions and the fused pass."""
+        """Cached Viterbi decode, sharing emissions; no forward pass."""
         decoded = self._decode(model, dataset)
         if decoded is not None:
             return decoded[0]
-        emissions = self._emissions(model, dataset)
-        if emissions is None:
-            compute = lambda: model.predict_tags(dataset)  # noqa: E731
-        else:
-            compute = lambda: model.predict_tags(dataset, emissions=emissions)  # noqa: E731
-        return self._memo("tags", model, dataset, compute)
+        return self._memo("tags", model, dataset, lambda: model.predict_tags(dataset))
 
     def best_path_log_proba(
         self, model: SequenceLabeler, dataset: SequenceDataset
     ) -> np.ndarray:
-        """Cached Viterbi-path log-probabilities via the shared decode."""
+        """``best - log_z`` from the cached decode and log partition."""
         decoded = self._decode(model, dataset)
-        if decoded is not None:
-            return decoded[1]
-        emissions = self._emissions(model, dataset)
-        if emissions is None:
-            compute = lambda: model.best_path_log_proba(dataset)  # noqa: E731
-        else:
-            compute = lambda: model.best_path_log_proba(  # noqa: E731
-                dataset, emissions=emissions
+        if decoded is None:
+            return self._memo(
+                "logp", model, dataset, lambda: model.best_path_log_proba(dataset)
             )
-        return self._memo("logp", model, dataset, compute)
+        emissions = self._emissions(model, dataset)
+        log_z = self._memo(
+            "log_z",
+            model,
+            dataset,
+            lambda: model.predict_log_partition(dataset, emissions=emissions),
+        )
+        return decoded[1] - log_z
 
     def token_marginals(
         self, model: SequenceLabeler, dataset: SequenceDataset

@@ -76,15 +76,20 @@ class TextDataset:
         return len(self.sentences)
 
     def subset(self, indices: Sequence[int]) -> "TextDataset":
-        """Return a view-like dataset containing only ``indices``."""
+        """Return a view-like dataset containing only ``indices``.
+
+        The rows were validated when this dataset was built, so the
+        subset takes them as they are instead of re-checking each one.
+        """
         index_array = np.asarray(indices, dtype=np.int64)
-        return TextDataset(
-            [self.sentences[i] for i in index_array],
-            self.labels[index_array],
-            self.vocab,
-            self.num_classes,
-            name=self.name,
-        )
+        subset = TextDataset.__new__(TextDataset)
+        subset.sentences = [self.sentences[i] for i in index_array]
+        subset.labels = self.labels[index_array]
+        subset.vocab = self.vocab
+        subset.num_classes = self.num_classes
+        subset.name = self.name
+        subset._occurrences = None
+        return subset
 
     def lengths(self) -> np.ndarray:
         """Sentence lengths as an int array."""
@@ -204,15 +209,19 @@ class SequenceDataset:
         return len(self.sentences)
 
     def subset(self, indices: Sequence[int]) -> "SequenceDataset":
-        """Return a dataset containing only ``indices``."""
+        """Return a dataset containing only ``indices``.
+
+        The rows were validated when this dataset was built, so the
+        subset takes them as they are instead of re-checking each one.
+        """
         index_array = np.asarray(indices, dtype=np.int64)
-        return SequenceDataset(
-            [self.sentences[i] for i in index_array],
-            [self.tag_sequences[i] for i in index_array],
-            self.vocab,
-            self.tag_names,
-            name=self.name,
-        )
+        subset = SequenceDataset.__new__(SequenceDataset)
+        subset.sentences = [self.sentences[i] for i in index_array]
+        subset.tag_sequences = [self.tag_sequences[i] for i in index_array]
+        subset.vocab = self.vocab
+        subset.tag_names = list(self.tag_names)
+        subset.name = self.name
+        return subset
 
     def lengths(self) -> np.ndarray:
         """Sentence lengths as an int array."""

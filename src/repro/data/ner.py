@@ -27,6 +27,7 @@ from ..exceptions import ConfigurationError
 from ..rng import choice_cdf, ensure_rng
 from .datasets import SequenceDataset
 from .tagging import bio_to_bioes
+from .text import check_scale
 from .vocab import Vocabulary
 
 ENTITY_TYPES = ("PER", "ORG", "LOC", "MISC")
@@ -96,8 +97,7 @@ class NERCorpusSpec:
 
     def scaled(self, scale: float) -> "NERCorpusSpec":
         """Copy with ``size`` and vocabulary scaled by ``scale``."""
-        if scale <= 0:
-            raise ConfigurationError(f"scale must be positive, got {scale}")
+        check_scale(scale)
         return NERCorpusSpec(
             name=self.name,
             size=max(50, int(self.size * scale)),

@@ -36,6 +36,21 @@ from .datasets import TextDataset
 from .vocab import Vocabulary
 
 
+#: Largest corpus ``scale`` the generators accept: ten times the paper's
+#: corpus sizes (``scale=1.0``).  Generation time and memory grow with
+#: scale, so a larger (or non-finite) value is refused up front rather
+#: than tying up the caller.
+MAX_SCALE = 10.0
+
+
+def check_scale(scale: float) -> None:
+    """Raise :class:`ConfigurationError` unless ``0 < scale <= MAX_SCALE``."""
+    if not 0 < scale <= MAX_SCALE:
+        raise ConfigurationError(
+            f"scale must be in (0, {MAX_SCALE:g}], got {scale}"
+        )
+
+
 @dataclass(frozen=True)
 class TextCorpusSpec:
     """Parameters of a synthetic classification corpus.
@@ -133,8 +148,7 @@ class TextCorpusSpec:
         Benchmarks use scaled-down presets so laptop-speed models can run
         many active-learning repetitions; the difficulty knobs are kept.
         """
-        if scale <= 0:
-            raise ConfigurationError(f"scale must be positive, got {scale}")
+        check_scale(scale)
         if scale == 1.0:
             return self
         return TextCorpusSpec(

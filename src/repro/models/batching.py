@@ -1,17 +1,16 @@
-"""Padding and length-bucketing utilities for the batched sequence kernels.
+"""Padding and length-bucketing utilities for the batched recurrent kernels.
 
-The numpy sequence models (``LSTMRegressor``, ``LinearChainCRF``,
-``BiLSTMCRF``) historically processed one sequence at a time in Python
-loops.  The batched kernels instead operate on dense tensors:
+The numpy recurrent models process whole batches as dense tensors:
 
 * ragged 1-D score sequences are packed into a right-padded ``(N, T)``
   matrix plus a length vector (:func:`pad_sequences`), with per-step
-  masking inside the recurrent kernels;
+  masking inside the ``LSTMRegressor`` kernels;
 * variable-length sentences are grouped into exact-length buckets
-  (:func:`length_buckets`) so each bucket runs through the lattice
-  recursions as one ``(B, L, T)`` tensor with no masking at all, which
-  keeps the batched CRF kernels bit-for-bit identical to the per-sentence
-  recursions.
+  (:func:`length_buckets`) so the ``BiLSTMCRF`` encoder runs each bucket
+  as one ``(B, L, D)`` tensor with no masking at all.
+
+The CRF lattice itself packs sentences differently (longest first,
+right-padded, see :mod:`repro.models.crf_core`).
 """
 
 from __future__ import annotations
@@ -62,8 +61,3 @@ def length_buckets(lengths: Sequence[int]) -> list[tuple[int, np.ndarray]]:
         return []
     unique = np.unique(length_array)
     return [(int(value), np.flatnonzero(length_array == value)) for value in unique]
-
-
-def stack_bucket(sentences: Sequence[np.ndarray], positions: np.ndarray) -> np.ndarray:
-    """Stack same-length sequences at ``positions`` into one 2-D array."""
-    return np.stack([np.asarray(sentences[int(p)]) for p in positions])

@@ -21,23 +21,13 @@ from ..data.datasets import SequenceDataset
 from ..exceptions import ConfigurationError, NotFittedError
 from ..rng import ensure_rng
 from .base import (
-    SequenceLabeler,
     bump_fit_generation,
     params_from_jsonable,
     params_to_jsonable,
     resolve_warm_epochs,
 )
 from .batching import length_buckets
-from .crf_core import (
-    crf_decode_buckets,
-    crf_forward,
-    crf_forward_batch,
-    crf_marginals,
-    crf_marginals_batch,
-    crf_sentence_gradients,
-    crf_viterbi,
-    crf_viterbi_batch,
-)
+from .crf_core import CRFLabeler, crf_gradients, packed_marginals
 from .embeddings import pretrained_for_dataset
 from .layers import Adam, dropout_mask, glorot_init, minibatches, sigmoid
 
@@ -133,7 +123,7 @@ def _lstm_back(
     return d_inputs
 
 
-class BiLSTMCRF(SequenceLabeler):
+class BiLSTMCRF(CRFLabeler):
     """Bidirectional-LSTM encoder with a CRF output layer.
 
     Parameters
@@ -279,21 +269,28 @@ class BiLSTMCRF(SequenceLabeler):
         for _ in range(epochs):
             for batch in minibatches(len(dataset), self.batch_size, rng):
                 grads = {name: np.zeros_like(v) for name, v in params.items()}
-                for index in batch:
-                    sentence = dataset.sentences[index]
-                    tags = dataset.tag_sequences[index]
-                    mask = dropout_mask(
-                        rng, (len(sentence), 2 * hidden), self.dropout
+                encoded = [
+                    self._encode(
+                        dataset.sentences[index],
+                        dropout_mask(
+                            rng,
+                            (len(dataset.sentences[index]), 2 * hidden),
+                            self.dropout,
+                        ),
                     )
-                    emissions, cache = self._encode(sentence, mask)
-                    d_em, d_a, d_start, d_end, _ = crf_sentence_gradients(
-                        emissions, tags, params["A"], params["start"], params["end"]
-                    )
-                    scale = 1.0 / len(batch)
-                    self._backprop(cache, d_em * scale, grads)
-                    grads["A"] += scale * d_a
-                    grads["start"] += scale * d_start
-                    grads["end"] += scale * d_end
+                    for index in batch
+                ]
+                d_emissions, d_transitions, d_start, d_end = crf_gradients(
+                    [emissions for emissions, _ in encoded],
+                    [dataset.tag_sequences[index] for index in batch],
+                    params["A"], params["start"], params["end"],
+                )
+                scale = 1.0 / len(batch)
+                for row, (_, cache) in enumerate(encoded):
+                    self._backprop(cache, d_emissions[row] * scale, grads)
+                    grads["A"] += scale * d_transitions[row]
+                    grads["start"] += scale * d_start[row]
+                    grads["end"] += scale * d_end[row]
                 for name in ("Wxf", "Whf", "Wxb", "Whb", "Wo"):
                     grads[name] += self.l2 * params[name]
                 optimizer.update(params, grads)
@@ -393,91 +390,6 @@ class BiLSTMCRF(SequenceLabeler):
             for states in self.encoder_states(dataset)
         ]
 
-    def predict_tags(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> list[np.ndarray]:
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        paths: list[np.ndarray | None] = [None] * len(dataset)
-        for length, rows in length_buckets([len(s) for s in dataset.sentences]):
-            batch = np.stack([emissions[int(r)] for r in rows])
-            bucket_paths, _ = crf_viterbi_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            for row, path in zip(rows, bucket_paths):
-                paths[int(row)] = path.copy()
-        return paths
-
-    def best_path_log_proba(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> np.ndarray:
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        log_probas = np.empty(len(dataset))
-        for length, rows in length_buckets([len(s) for s in dataset.sentences]):
-            batch = np.stack([emissions[int(r)] for r in rows])
-            _, best_scores = crf_viterbi_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            _, log_z = crf_forward_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            log_probas[rows] = best_scores - log_z
-        return log_probas
-
-
-    def decode(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> "tuple[list[np.ndarray], np.ndarray]":
-        """Fused ``(predict_tags, best_path_log_proba)`` in one pass.
-
-        Runs each length bucket through the Viterbi and forward lattices
-        once, so callers needing both tags and path confidences (e.g.
-        the per-round :class:`~repro.core.prediction_cache.PredictionCache`)
-        pay for a single decode instead of two.  Outputs are bit-for-bit
-        the separate methods' results.
-        """
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        return crf_decode_buckets(
-            emissions,
-            length_buckets([len(s) for s in dataset.sentences]),
-            params["A"],
-            params["start"],
-            params["end"],
-        )
-
-    def token_marginals(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> list[np.ndarray]:
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        output: list[np.ndarray | None] = [None] * len(dataset)
-        for length, rows in length_buckets([len(s) for s in dataset.sentences]):
-            batch = np.stack([emissions[int(r)] for r in rows])
-            marginals = crf_marginals_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            for row, matrix in zip(rows, marginals):
-                output[int(row)] = matrix
-        return output
-
     def token_marginal_samples(
         self, dataset: SequenceDataset, n_samples: int, rng: np.random.Generator
     ) -> list[np.ndarray]:
@@ -503,72 +415,12 @@ class BiLSTMCRF(SequenceLabeler):
                 )
                 emissions[t] = (states * mask) @ params["Wo"] + params["bo"]
             results.append(
-                crf_marginals_batch(
-                    emissions, params["A"], params["start"], params["end"]
+                packed_marginals(
+                    emissions, np.full(n_samples, length),
+                    params["A"], params["start"], params["end"],
                 )
             )
         return results
-
-    # -- per-sentence reference paths (oracles for the batched kernels) -----
-
-    def _predict_tags_reference(self, dataset: SequenceDataset) -> list[np.ndarray]:
-        params = self._require_fitted()
-        paths = []
-        for sentence in dataset.sentences:
-            emissions, _ = self._encode(sentence, None)
-            path, _ = crf_viterbi(emissions, params["A"], params["start"], params["end"])
-            paths.append(path)
-        return paths
-
-    def _best_path_log_proba_reference(self, dataset: SequenceDataset) -> np.ndarray:
-        params = self._require_fitted()
-        log_probas = np.empty(len(dataset))
-        for index, sentence in enumerate(dataset.sentences):
-            emissions, _ = self._encode(sentence, None)
-            _, best = crf_viterbi(emissions, params["A"], params["start"], params["end"])
-            _, log_z = crf_forward(emissions, params["A"], params["start"], params["end"])
-            log_probas[index] = best - log_z
-        return log_probas
-
-    def _token_marginals_reference(self, dataset: SequenceDataset) -> list[np.ndarray]:
-        params = self._require_fitted()
-        return [
-            crf_marginals(
-                self._encode(sentence, None)[0],
-                params["A"], params["start"], params["end"],
-            )
-            for sentence in dataset.sentences
-        ]
-
-    def _token_marginal_samples_reference(
-        self, dataset: SequenceDataset, n_samples: int, rng: np.random.Generator
-    ) -> list[np.ndarray]:
-        if n_samples < 1:
-            raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
-        params = self._require_fitted()
-        num_tags = int(self._num_tags or 0)
-        results = []
-        for sentence in dataset.sentences:
-            draws = np.empty((n_samples, len(sentence), num_tags))
-            for t in range(n_samples):
-                mask = dropout_mask(
-                    rng, (len(sentence), 2 * self.hidden_dim), self.dropout
-                )
-                emissions, _ = self._encode(sentence, mask)
-                draws[t] = crf_marginals(
-                    emissions, params["A"], params["start"], params["end"]
-                )
-            results.append(draws)
-        return results
-
-    def token_accuracy(self, dataset: SequenceDataset) -> float:
-        """Fraction of tokens whose Viterbi tag matches gold."""
-        predicted = self.predict_tags(dataset)
-        correct = sum(
-            int((p == g).sum()) for p, g in zip(predicted, dataset.tag_sequences)
-        )
-        total = dataset.total_tokens()
-        return correct / total if total else 0.0
 
     def __repr__(self) -> str:
         state = "fitted" if self._params is not None else "unfitted"

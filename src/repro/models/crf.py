@@ -23,31 +23,24 @@ from ..data.datasets import SequenceDataset
 from ..exceptions import ConfigurationError, NotFittedError
 from ..rng import ensure_rng
 from .base import (
-    SequenceLabeler,
     bump_fit_generation,
     params_from_jsonable,
     params_to_jsonable,
     resolve_warm_epochs,
 )
-from .batching import length_buckets
 from .crf_core import (
-    crf_decode_buckets,
-    crf_backward,
-    crf_forward,
-    crf_forward_batch,
-    crf_marginals,
-    crf_marginals_batch,
-    crf_path_score,
-    crf_sentence_gradients,
-    crf_viterbi,
-    crf_viterbi_batch,
+    CRFLabeler,
+    crf_gradients,
+    packed_blocks,
+    packed_marginals,
+    unpack_rows,
 )
 from .layers import Adam, minibatches
 
 _COMPONENTS = ("U_curr", "U_prev", "U_next")
 
 
-class LinearChainCRF(SequenceLabeler):
+class LinearChainCRF(CRFLabeler):
     """CRF over word-identity context features.
 
     Parameters
@@ -115,61 +108,27 @@ class LinearChainCRF(SequenceLabeler):
             params["U_next"][next_ids],
         )
 
-    def _emissions(
-        self, sentence: np.ndarray, component_mask: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Emission scores, shape ``(length, num_tags)``.
-
-        ``component_mask`` (length 3, values 0/scale) implements feature
-        dropout over the current/previous/next word components.
-        """
-        params = self._require_fitted()
-        parts = self._emission_parts(sentence)
-        if component_mask is None:
-            emissions = parts[0] + parts[1] + parts[2]
-        else:
-            emissions = sum(m * p for m, p in zip(component_mask, parts))
-        return emissions + params["b"]
-
     def emissions(self, dataset: SequenceDataset) -> list[np.ndarray]:
-        """Emission matrices of every sentence, computed batched.
+        """Emission matrices ``(L, T)`` of every sentence."""
+        return self._emission_matrices(dataset.sentences)
 
-        Sentences are grouped into exact-length buckets and each bucket's
-        three component tables are gathered in one fancy-indexing pass —
-        bit-for-bit equal to calling :meth:`_emissions` per sentence.
-        """
+    def _emission_matrices(self, sentences: list[np.ndarray]) -> list[np.ndarray]:
+        """Emissions gathered as packed id blocks, one fancy-index pass
+        per component table — bit-for-bit the per-sentence sums."""
         params = self._require_fitted()
-        sentences = dataset.sentences
-        output: list[np.ndarray | None] = [None] * len(sentences)
-        for length, rows in length_buckets([len(s) for s in sentences]):
-            ids = np.stack([sentences[int(r)] for r in rows])  # (B, L)
+        output: list[np.ndarray] = [None] * len(sentences)  # type: ignore[list-item]
+        for rows, ids, lengths in packed_blocks(sentences):
             zero = np.zeros((len(rows), 1), dtype=np.int64)
             prev_ids = np.concatenate([zero, ids[:, :-1]], axis=1)
             next_ids = np.concatenate([ids[:, 1:], zero], axis=1)
-            batch = (
+            block = (
                 params["U_curr"][ids]
                 + params["U_prev"][prev_ids]
                 + params["U_next"][next_ids]
                 + params["b"]
             )
-            for row, matrix in zip(rows, batch):
-                output[int(row)] = matrix
+            unpack_rows(output, rows, block, lengths)
         return output
-
-    def _forward_log(self, emissions: np.ndarray) -> tuple[np.ndarray, float]:
-        """Forward pass: alpha table and log partition (via crf_core)."""
-        params = self._require_fitted()
-        return crf_forward(emissions, params["A"], params["start"], params["end"])
-
-    def _backward_log(self, emissions: np.ndarray) -> np.ndarray:
-        params = self._require_fitted()
-        return crf_backward(emissions, params["A"], params["end"])
-
-    def _path_score(self, emissions: np.ndarray, tags: np.ndarray) -> float:
-        params = self._require_fitted()
-        return crf_path_score(
-            emissions, tags, params["A"], params["start"], params["end"]
-        )
 
     # -- training --------------------------------------------------------------
 
@@ -211,42 +170,54 @@ class LinearChainCRF(SequenceLabeler):
         for _ in range(epochs):
             for batch in minibatches(len(dataset), self.batch_size, rng):
                 grads = {name: np.zeros_like(v) for name, v in self._params.items()}
-                for index in batch:
-                    self._accumulate_sentence_grads(
-                        dataset.sentences[index],
-                        dataset.tag_sequences[index],
-                        grads,
-                        scale=1.0 / len(batch),
-                    )
+                self._accumulate_batch_grads(
+                    [dataset.sentences[index] for index in batch],
+                    [dataset.tag_sequences[index] for index in batch],
+                    grads,
+                    scale=1.0 / len(batch),
+                )
                 for name, value in self._params.items():
                     grads[name] += self.l2 * value
                 optimizer.update(self._params, grads)
         bump_fit_generation(self)
         return self
 
-    def _accumulate_sentence_grads(
+    def _accumulate_batch_grads(
         self,
-        sentence: np.ndarray,
-        tags: np.ndarray,
+        sentences: list[np.ndarray],
+        tags: list[np.ndarray],
         grads: dict[str, np.ndarray],
         scale: float,
     ) -> None:
-        """Add the NLL gradient of one sentence into ``grads``."""
+        """Add the NLL gradients of a minibatch into ``grads``.
+
+        One packed lattice yields every sentence's gradients; they are
+        accumulated in minibatch order (the emission tables through one
+        ``np.add.at`` over all tokens), so every float sum keeps the
+        order of a sentence-by-sentence loop.
+        """
         params = self._require_fitted()
-        emissions = self._emissions(sentence)
-        d_emissions, d_transitions, d_start, d_end, _ = crf_sentence_gradients(
-            emissions, tags, params["A"], params["start"], params["end"]
+        d_emissions, d_transitions, d_start, d_end = crf_gradients(
+            self._emission_matrices(sentences), tags,
+            params["A"], params["start"], params["end"],
         )
-        d_emissions = d_emissions * scale
-        prev_ids = np.concatenate([[0], sentence[:-1]])
-        next_ids = np.concatenate([sentence[1:], [0]])
-        np.add.at(grads["U_curr"], sentence, d_emissions)
-        np.add.at(grads["U_prev"], prev_ids, d_emissions)
-        np.add.at(grads["U_next"], next_ids, d_emissions)
-        grads["b"] += d_emissions.sum(axis=0)
-        grads["A"] += scale * d_transitions
-        grads["start"] += scale * d_start
-        grads["end"] += scale * d_end
+        tokens = np.concatenate(d_emissions) * scale
+        ids = np.concatenate(sentences)
+        lengths = np.array([len(sentence) for sentence in sentences])
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        prev_ids = np.roll(ids, 1)
+        prev_ids[starts] = 0
+        next_ids = np.roll(ids, -1)
+        next_ids[ends - 1] = 0
+        np.add.at(grads["U_curr"], ids, tokens)
+        np.add.at(grads["U_prev"], prev_ids, tokens)
+        np.add.at(grads["U_next"], next_ids, tokens)
+        for row, (first, stop) in enumerate(zip(starts.tolist(), ends.tolist())):
+            grads["b"] += tokens[first:stop].sum(axis=0)
+            grads["A"] += scale * d_transitions[row]
+            grads["start"] += scale * d_start[row]
+            grads["end"] += scale * d_end[row]
 
     def clone(self) -> "LinearChainCRF":
         return LinearChainCRF(
@@ -276,103 +247,6 @@ class LinearChainCRF(SequenceLabeler):
 
     # -- inference ----------------------------------------------------------------
 
-    def _viterbi(self, emissions: np.ndarray) -> tuple[np.ndarray, float]:
-        params = self._require_fitted()
-        return crf_viterbi(emissions, params["A"], params["start"], params["end"])
-
-    def predict_tags(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> list[np.ndarray]:
-        """Viterbi paths, decoded one length bucket at a time.
-
-        ``emissions`` lets a caller (e.g. the per-round
-        :class:`~repro.core.prediction_cache.PredictionCache`) reuse
-        matrices from :meth:`emissions` across decode/marginal calls.
-        """
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        paths: list[np.ndarray | None] = [None] * len(dataset)
-        for length, rows in length_buckets([len(s) for s in dataset.sentences]):
-            batch = np.stack([emissions[int(r)] for r in rows])
-            bucket_paths, _ = crf_viterbi_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            for row, path in zip(rows, bucket_paths):
-                paths[int(row)] = path.copy()
-        return paths
-
-    def best_path_log_proba(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> np.ndarray:
-        """``log p(y*|x)`` per sentence — longer sentences score lower,
-        which reproduces the length bias MNLP (Eq. 13) corrects."""
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        log_probas = np.empty(len(dataset))
-        for length, rows in length_buckets([len(s) for s in dataset.sentences]):
-            batch = np.stack([emissions[int(r)] for r in rows])
-            _, best_scores = crf_viterbi_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            _, log_z = crf_forward_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            log_probas[rows] = best_scores - log_z
-        return log_probas
-
-
-    def decode(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> "tuple[list[np.ndarray], np.ndarray]":
-        """Fused ``(predict_tags, best_path_log_proba)`` in one pass.
-
-        Runs each length bucket through the Viterbi and forward lattices
-        once, so callers needing both tags and path confidences (e.g.
-        the per-round :class:`~repro.core.prediction_cache.PredictionCache`)
-        pay for a single decode instead of two.  Outputs are bit-for-bit
-        the separate methods' results.
-        """
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        return crf_decode_buckets(
-            emissions,
-            length_buckets([len(s) for s in dataset.sentences]),
-            params["A"],
-            params["start"],
-            params["end"],
-        )
-
-    def token_marginals(
-        self,
-        dataset: SequenceDataset,
-        *,
-        emissions: "list[np.ndarray] | None" = None,
-    ) -> list[np.ndarray]:
-        params = self._require_fitted()
-        if emissions is None:
-            emissions = self.emissions(dataset)
-        output: list[np.ndarray | None] = [None] * len(dataset)
-        for length, rows in length_buckets([len(s) for s in dataset.sentences]):
-            batch = np.stack([emissions[int(r)] for r in rows])
-            marginals = crf_marginals_batch(
-                batch, params["A"], params["start"], params["end"]
-            )
-            for row, matrix in zip(rows, marginals):
-                output[int(row)] = matrix
-        return output
-
     def token_marginal_samples(
         self, dataset: SequenceDataset, n_samples: int, rng: np.random.Generator
     ) -> list[np.ndarray]:
@@ -401,70 +275,12 @@ class LinearChainCRF(SequenceLabeler):
                     sum(m * p for m, p in zip(mask, parts)) + params["b"]
                 )
             results.append(
-                crf_marginals_batch(
-                    emissions, params["A"], params["start"], params["end"]
+                packed_marginals(
+                    emissions, np.full(n_samples, len(sentence)),
+                    params["A"], params["start"], params["end"],
                 )
             )
         return results
-
-    # -- per-sentence reference paths (oracles for the batched kernels) -----
-
-    def _predict_tags_reference(self, dataset: SequenceDataset) -> list[np.ndarray]:
-        return [
-            self._viterbi(self._emissions(sentence))[0]
-            for sentence in dataset.sentences
-        ]
-
-    def _best_path_log_proba_reference(self, dataset: SequenceDataset) -> np.ndarray:
-        log_probas = np.empty(len(dataset))
-        for index, sentence in enumerate(dataset.sentences):
-            emissions = self._emissions(sentence)
-            _, best_score = self._viterbi(emissions)
-            _, log_z = self._forward_log(emissions)
-            log_probas[index] = best_score - log_z
-        return log_probas
-
-    def _token_marginals_reference(self, dataset: SequenceDataset) -> list[np.ndarray]:
-        params = self._require_fitted()
-        return [
-            crf_marginals(
-                self._emissions(sentence),
-                params["A"], params["start"], params["end"],
-            )
-            for sentence in dataset.sentences
-        ]
-
-    def _token_marginal_samples_reference(
-        self, dataset: SequenceDataset, n_samples: int, rng: np.random.Generator
-    ) -> list[np.ndarray]:
-        if n_samples < 1:
-            raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
-        params = self._require_fitted()
-        results: list[np.ndarray] = []
-        num_tags = int(self._num_tags or 0)
-        for sentence in dataset.sentences:
-            draws = np.empty((n_samples, len(sentence), num_tags))
-            for t in range(n_samples):
-                keep = rng.random(3) >= self.feature_dropout
-                if not keep.any():
-                    keep[rng.integers(3)] = True  # never drop every component
-                mask = keep / max(keep.mean(), 1e-12)
-                emissions = self._emissions(sentence, component_mask=mask)
-                draws[t] = crf_marginals(
-                    emissions, params["A"], params["start"], params["end"]
-                )
-            results.append(draws)
-        return results
-
-    def token_accuracy(self, dataset: SequenceDataset) -> float:
-        """Fraction of tokens whose Viterbi tag matches gold."""
-        predicted = self.predict_tags(dataset)
-        correct = sum(
-            int((p == g).sum())
-            for p, g in zip(predicted, dataset.tag_sequences)
-        )
-        total = dataset.total_tokens()
-        return correct / total if total else 0.0
 
     def __repr__(self) -> str:
         state = "fitted" if self._params is not None else "unfitted"

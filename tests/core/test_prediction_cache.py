@@ -12,6 +12,7 @@ from repro.core.strategies.uncertainty import Entropy
 from repro.data.ner import NERCorpusSpec, make_ner_corpus
 from repro.eval.metrics import evaluate_model
 from repro.models import LinearSoftmax
+from repro.models import crf_core
 from repro.models.crf import LinearChainCRF
 
 from .helpers import make_context
@@ -67,7 +68,7 @@ class TestCache:
         )
 
     def test_tags_and_logp_share_one_decode(self, fitted_crf, small_ner):
-        """Models exposing the fused decode() run Viterbi once for both
+        """Models exposing decode() run Viterbi once for both
         predict_tags and best_path_log_proba."""
         cache = PredictionCache()
         cache.predict_tags(fitted_crf, small_ner)
@@ -80,6 +81,31 @@ class TestCache:
         cache.predict_tags(fitted_crf, small_ner)
         cache.best_path_log_proba(fitted_crf, small_ner)
         assert cache.misses == misses_before
+
+    def test_tags_alone_run_no_forward_pass(self, fitted_crf, small_ner, monkeypatch):
+        """Span-F1 evaluation and flip tracking want tags only: Viterbi
+        runs, the forward recursion (log Z) never does."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a tags-only decode ran the forward pass")
+
+        monkeypatch.setattr(crf_core, "_forward", forbidden)
+        cache = PredictionCache()
+        for cached, direct in zip(
+            cache.predict_tags(fitted_crf, small_ner),
+            fitted_crf.predict_tags(small_ner),
+        ):
+            np.testing.assert_array_equal(cached, direct)
+        assert [k[0] for k in cache._store] == ["emissions", "decode"]
+
+    def test_log_proba_is_best_minus_log_z(self, fitted_crf, small_ner):
+        cache = PredictionCache()
+        _, best = fitted_crf.decode(small_ner)
+        np.testing.assert_array_equal(
+            cache.best_path_log_proba(fitted_crf, small_ner),
+            best - fitted_crf.predict_log_partition(small_ner),
+        )
+        assert sorted(k[0] for k in cache._store) == ["decode", "emissions", "log_z"]
 
     def test_clear_empties_store(self, fitted_classifier, text_dataset):
         cache = PredictionCache()

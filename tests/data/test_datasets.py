@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.datasets import SequenceDataset, TextDataset
 from repro.data.vocab import Vocabulary
@@ -141,3 +142,45 @@ class TestSequenceDataset:
 
     def test_repr(self, small_seq):
         assert "seq" in repr(small_seq)
+
+
+def _state(dataset) -> dict:
+    """Every attribute, with arrays as lists so ``==`` compares them."""
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return (value.dtype.str, value.tolist())
+        if isinstance(value, list):
+            return [plain(item) for item in value]
+        return value
+
+    return {key: plain(value) for key, value in vars(dataset).items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 2), max_size=7))
+def test_subset_equals_validated_construction(indices):
+    """``subset`` skips re-validation but builds exactly what the
+    validating constructor would (negative and repeated indices too)."""
+    vocab = Vocabulary([f"t{i}" for i in range(8)])
+    sentences = [[2, 3, 4], [5], [7, 8, 9, 2]]
+    text = TextDataset(sentences, [0, 1, 0], vocab, num_classes=2, name="small")
+    expected = TextDataset(
+        [sentences[i] for i in indices], [[0, 1, 0][i] for i in indices],
+        vocab, num_classes=2, name="small",
+    )
+    assert _state(text.subset(indices)) == _state(expected)
+    tags = [[0, 1, 0], [1], [0, 0, 1, 1]]
+    seq = SequenceDataset(sentences, tags, vocab, ["O", "S-PER"], name="seq")
+    expected = SequenceDataset(
+        [sentences[i] for i in indices], [tags[i] for i in indices],
+        vocab, ["O", "S-PER"], name="seq",
+    )
+    assert _state(seq.subset(indices)) == _state(expected)
+
+
+def test_subset_out_of_range_raises():
+    vocab = Vocabulary(["a"])
+    with pytest.raises(IndexError):
+        TextDataset([[2]], [0], vocab, 2).subset([1])
+    with pytest.raises(IndexError):
+        SequenceDataset([[2]], [[0]], vocab, ["O"]).subset([1])

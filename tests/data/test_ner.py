@@ -14,6 +14,7 @@ from repro.data.ner import (
     make_ner_corpus,
 )
 from repro.data.tagging import TagScheme, validate_tags
+from repro.data.text import MAX_SCALE
 from repro.exceptions import ConfigurationError
 
 
@@ -65,6 +66,11 @@ class TestSpecValidation:
 
     def test_scaled_floor(self):
         assert small_spec(size=100).scaled(0.01).size == 50
+
+    @pytest.mark.parametrize("scale", [0, MAX_SCALE * 1.5, 1e300, float("nan")])
+    def test_scaled_out_of_range_rejected(self, scale):
+        with pytest.raises(ConfigurationError, match="scale"):
+            small_spec().scaled(scale)
 
 
 class TestGeneration:

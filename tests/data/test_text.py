@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.text import (
+    MAX_SCALE,
     MR_SPEC,
     SST2_SPEC,
     SUBJ_SPEC,
@@ -69,6 +70,16 @@ class TestSpecValidation:
     def test_scaled_bad_scale(self):
         with pytest.raises(ConfigurationError):
             small_spec().scaled(0)
+
+    @pytest.mark.parametrize(
+        "scale", [MAX_SCALE * 1.5, 1e300, float("inf"), float("nan")]
+    )
+    def test_scaled_over_cap_rejected(self, scale):
+        with pytest.raises(ConfigurationError, match="scale"):
+            small_spec().scaled(scale)
+
+    def test_scaled_at_cap_accepted(self):
+        assert small_spec(size=100).scaled(MAX_SCALE).size == 100 * MAX_SCALE
 
 
 class TestGeneration:

@@ -1,12 +1,13 @@
 """Batched kernels vs per-sample oracles: equivalence and determinism.
 
-The batched sequence-model paths (padded-tensor LSTM, length-bucketed
-CRF lattice kernels, MC-dropout subgraph reuse) keep their original
-per-sample implementations as ``_*_reference`` oracles.  The CRF lattice
-kernels reduce the tag axis identically batched or not, so those paths
-must be bit-for-bit equal; LSTM/BiLSTM paths route matrix products
-through a different BLAS kernel (gemm vs gemv), so they get a 1e-10
-tolerance instead.
+The batched sequence-model paths (padded-tensor LSTM, the packed CRF
+lattice, MC-dropout subgraph reuse) are checked against per-sample
+oracles: ``_*_reference`` methods for the LSTM and TextCNN, the
+per-sentence CRF functions in :mod:`tests.oracles` for the CRF-output
+models.  The packed lattice reduces the tag axis identically to the
+per-sentence recursions, so those paths must be bit-for-bit equal;
+LSTM/BiLSTM paths route matrix products through a different BLAS kernel
+(gemm vs gemv), so they get a 1e-10 tolerance instead.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.models.bilstm_crf import BiLSTMCRF
 from repro.models.crf import LinearChainCRF
 from repro.models.lstm import LSTMRegressor
 from repro.models.textcnn import TextCNN
+from tests import oracles
 
 TOL = 1e-10
 
@@ -178,23 +180,25 @@ class TestCRFBatchedBitwise:
     def test_emissions(self, fitted_crf, seq_dataset):
         batched = fitted_crf.emissions(seq_dataset)
         for sentence, matrix in zip(seq_dataset.sentences, batched):
-            np.testing.assert_array_equal(matrix, fitted_crf._emissions(sentence))
+            np.testing.assert_array_equal(
+                matrix, oracles.crf_sentence_emissions(fitted_crf, sentence)
+            )
 
     def test_predict_tags(self, fitted_crf, seq_dataset):
         batched = fitted_crf.predict_tags(seq_dataset)
-        reference = fitted_crf._predict_tags_reference(seq_dataset)
+        reference = oracles.predict_tags_reference(fitted_crf, seq_dataset)
         for a, b in zip(batched, reference):
             np.testing.assert_array_equal(a, b)
 
     def test_best_path_log_proba(self, fitted_crf, seq_dataset):
         np.testing.assert_array_equal(
             fitted_crf.best_path_log_proba(seq_dataset),
-            fitted_crf._best_path_log_proba_reference(seq_dataset),
+            oracles.best_path_log_proba_reference(fitted_crf, seq_dataset),
         )
 
     def test_token_marginals(self, fitted_crf, seq_dataset):
         batched = fitted_crf.token_marginals(seq_dataset)
-        reference = fitted_crf._token_marginals_reference(seq_dataset)
+        reference = oracles.token_marginals_reference(fitted_crf, seq_dataset)
         for a, b in zip(batched, reference):
             np.testing.assert_array_equal(a, b)
 
@@ -202,8 +206,8 @@ class TestCRFBatchedBitwise:
         batched = fitted_crf.token_marginal_samples(
             seq_dataset, 5, np.random.default_rng(7)
         )
-        reference = fitted_crf._token_marginal_samples_reference(
-            seq_dataset, 5, np.random.default_rng(7)
+        reference = oracles.token_marginal_samples_reference(
+            fitted_crf, seq_dataset, 5, np.random.default_rng(7)
         )
         for a, b in zip(batched, reference):
             np.testing.assert_array_equal(a, b)
@@ -213,12 +217,13 @@ class TestCRFBatchedBitwise:
         dataset = _sequence_dataset(np.random.default_rng(3), count=12, max_len=1)
         model = LinearChainCRF(epochs=2, seed=0).fit(dataset)
         for a, b in zip(
-            model.predict_tags(dataset), model._predict_tags_reference(dataset)
+            model.predict_tags(dataset),
+            oracles.predict_tags_reference(model, dataset),
         ):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(
             model.best_path_log_proba(dataset),
-            model._best_path_log_proba_reference(dataset),
+            oracles.best_path_log_proba_reference(model, dataset),
         )
 
     def test_emissions_kwarg_reused(self, fitted_crf, seq_dataset):
@@ -240,21 +245,21 @@ class TestBiLSTMCRFBatched:
 
     def test_predict_tags(self, fitted_bilstm, seq_dataset):
         batched = fitted_bilstm.predict_tags(seq_dataset)
-        reference = fitted_bilstm._predict_tags_reference(seq_dataset)
+        reference = oracles.predict_tags_reference(fitted_bilstm, seq_dataset)
         for a, b in zip(batched, reference):
             np.testing.assert_array_equal(a, b)
 
     def test_best_path_log_proba(self, fitted_bilstm, seq_dataset):
         np.testing.assert_allclose(
             fitted_bilstm.best_path_log_proba(seq_dataset),
-            fitted_bilstm._best_path_log_proba_reference(seq_dataset),
+            oracles.best_path_log_proba_reference(fitted_bilstm, seq_dataset),
             atol=TOL,
             rtol=0,
         )
 
     def test_token_marginals(self, fitted_bilstm, seq_dataset):
         batched = fitted_bilstm.token_marginals(seq_dataset)
-        reference = fitted_bilstm._token_marginals_reference(seq_dataset)
+        reference = oracles.token_marginals_reference(fitted_bilstm, seq_dataset)
         for a, b in zip(batched, reference):
             np.testing.assert_allclose(a, b, atol=TOL, rtol=0)
 
@@ -262,8 +267,8 @@ class TestBiLSTMCRFBatched:
         batched = fitted_bilstm.token_marginal_samples(
             seq_dataset, 4, np.random.default_rng(11)
         )
-        reference = fitted_bilstm._token_marginal_samples_reference(
-            seq_dataset, 4, np.random.default_rng(11)
+        reference = oracles.token_marginal_samples_reference(
+            fitted_bilstm, seq_dataset, 4, np.random.default_rng(11)
         )
         for a, b in zip(batched, reference):
             np.testing.assert_allclose(a, b, atol=TOL, rtol=0)
@@ -272,7 +277,8 @@ class TestBiLSTMCRFBatched:
         dataset = _sequence_dataset(np.random.default_rng(5), count=10, max_len=1)
         model = BiLSTMCRF(epochs=1, seed=0).fit(dataset)
         for a, b in zip(
-            model.predict_tags(dataset), model._predict_tags_reference(dataset)
+            model.predict_tags(dataset),
+            oracles.predict_tags_reference(model, dataset),
         ):
             np.testing.assert_array_equal(a, b)
 

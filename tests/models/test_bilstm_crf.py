@@ -10,12 +10,12 @@ from repro.data.vocab import Vocabulary
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.models.bilstm_crf import BiLSTMCRF
 from repro.models.crf_core import (
-    crf_forward,
-    crf_marginals,
-    crf_path_score,
-    crf_sentence_gradients,
-    crf_viterbi,
+    crf_decode,
+    crf_gradients,
+    crf_log_partition,
+    crf_token_marginals,
 )
+from tests.oracles import crf_forward, crf_path_score
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,9 @@ class TestCRFCore:
         params = model._params
         sentence = dataset.sentences[0]
         emissions, _ = model._encode(sentence, None)
-        _, log_z = crf_forward(emissions, params["A"], params["start"], params["end"])
+        (log_z,) = crf_log_partition(
+            [emissions], params["A"], params["start"], params["end"]
+        )
         brute = -np.inf
         for path in itertools.product(range(3), repeat=len(sentence)):
             brute = np.logaddexp(
@@ -56,8 +58,8 @@ class TestCRFCore:
         params = model._params
         sentence = dataset.sentences[1]
         emissions, _ = model._encode(sentence, None)
-        path, score = crf_viterbi(
-            emissions, params["A"], params["start"], params["end"]
+        (path,), (score,) = crf_decode(
+            [emissions], params["A"], params["start"], params["end"]
         )
         best = max(
             (
@@ -76,8 +78,8 @@ class TestCRFCore:
         model, dataset = tiny_model_and_data
         params = model._params
         emissions, _ = model._encode(dataset.sentences[0], None)
-        marginals = crf_marginals(
-            emissions, params["A"], params["start"], params["end"]
+        (marginals,) = crf_token_marginals(
+            [emissions], params["A"], params["start"], params["end"]
         )
         assert np.allclose(marginals.sum(axis=1), 1.0)
 
@@ -101,8 +103,8 @@ class TestFullGradient:
 
         grads = {name: np.zeros_like(v) for name, v in params.items()}
         emissions, cache = model._encode(sentence, None)
-        d_em, d_a, d_start, d_end, _ = crf_sentence_gradients(
-            emissions, tags, params["A"], params["start"], params["end"]
+        (d_em,), (d_a,), (d_start,), (d_end,) = crf_gradients(
+            [emissions], [tags], params["A"], params["start"], params["end"]
         )
         model._backprop(cache, d_em, grads)
         grads["A"] += d_a

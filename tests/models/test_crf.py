@@ -9,6 +9,7 @@ from repro.data.datasets import SequenceDataset
 from repro.data.vocab import Vocabulary
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.models.crf import LinearChainCRF
+from tests.oracles import crf_forward, crf_path_score, crf_sentence_emissions
 
 
 @pytest.fixture(scope="module")
@@ -25,44 +26,49 @@ def tiny_crf():
     return model, dataset
 
 
+def path_score(model, sentence, path) -> float:
+    return crf_path_score(
+        crf_sentence_emissions(model, sentence), np.array(path),
+        model._params["A"], model._params["start"], model._params["end"],
+    )
+
+
 def brute_force_log_z(model, sentence):
-    emissions = model._emissions(sentence)
-    params = model._params
-    num_tags = emissions.shape[1]
+    num_tags = model._params["A"].shape[0]
     total = -np.inf
     for path in itertools.product(range(num_tags), repeat=len(sentence)):
-        total = np.logaddexp(total, model._path_score(emissions, np.array(path)))
+        total = np.logaddexp(total, path_score(model, sentence, path))
     return total
 
 
 class TestInference:
     def test_partition_matches_brute_force(self, tiny_crf):
         model, dataset = tiny_crf
-        for sentence in dataset.sentences:
-            _, log_z = model._forward_log(model._emissions(sentence))
-            assert np.isclose(log_z, brute_force_log_z(model, sentence), atol=1e-9)
+        log_z = model.predict_log_partition(dataset)
+        for index, sentence in enumerate(dataset.sentences):
+            assert np.isclose(
+                log_z[index], brute_force_log_z(model, sentence), atol=1e-9
+            )
 
     def test_viterbi_matches_brute_force(self, tiny_crf):
         model, dataset = tiny_crf
-        for sentence in dataset.sentences:
-            emissions = model._emissions(sentence)
-            path, score = model._viterbi(emissions)
+        paths, scores = model.decode(dataset)
+        for index, sentence in enumerate(dataset.sentences):
             best = max(
-                (model._path_score(emissions, np.array(p)), p)
+                (path_score(model, sentence, p), p)
                 for p in itertools.product(range(3), repeat=len(sentence))
             )
-            assert np.isclose(score, best[0], atol=1e-9)
-            assert tuple(path) == best[1]
+            assert np.isclose(scores[index], best[0], atol=1e-9)
+            assert tuple(paths[index]) == best[1]
 
     def test_marginals_match_brute_force(self, tiny_crf):
         model, dataset = tiny_crf
         sentence = dataset.sentences[0]
-        emissions = model._emissions(sentence)
-        _, log_z = model._forward_log(emissions)
+        (log_z,) = model.predict_log_partition(dataset.subset([0]))
         marginals = model.token_marginals(dataset.subset([0]))[0]
         brute = np.zeros_like(marginals)
         for path in itertools.product(range(3), repeat=len(sentence)):
-            weight = np.exp(model._path_score(emissions, np.array(path)) - log_z)
+            weight = np.exp(path_score(model, sentence, path) - log_z)
             for position, tag in enumerate(path):
                 brute[position, tag] += weight
         assert np.allclose(marginals, brute, atol=1e-9)
@@ -84,12 +90,15 @@ class TestGradient:
         model, dataset = tiny_crf
         sentence, tags = dataset.sentences[0], dataset.tag_sequences[0]
         grads = {name: np.zeros_like(v) for name, v in model._params.items()}
-        model._accumulate_sentence_grads(sentence, tags, grads, scale=1.0)
+        model._accumulate_batch_grads([sentence], [tags], grads, scale=1.0)
 
         def nll() -> float:
-            emissions = model._emissions(sentence)
-            _, log_z = model._forward_log(emissions)
-            return log_z - model._path_score(emissions, tags)
+            emissions = crf_sentence_emissions(model, sentence)
+            _, log_z = crf_forward(
+                emissions, model._params["A"], model._params["start"],
+                model._params["end"],
+            )
+            return log_z - path_score(model, sentence, tags)
 
         rng = np.random.default_rng(2)
         epsilon = 1e-6

@@ -19,6 +19,7 @@ from repro.exceptions import (
     SessionError,
     StoreConflictError,
 )
+from repro.data.text import MAX_SCALE
 from repro.experiments import ExperimentConfig
 from repro.experiments.checkpoint import result_to_dict
 from repro.service import (
@@ -397,6 +398,16 @@ class TestDispatch:
         status, payload = dispatch(service, "POST", "/sessions", body={"recipe": recipe})
         assert status == 400
         assert payload["error_type"] == "ConfigurationError"
+        assert dispatch(service, "GET", "/sessions")[1]["sessions"] == []
+
+    @pytest.mark.parametrize("scale", [MAX_SCALE * 2, 1e300])
+    def test_over_cap_scale_is_400(self, service, scale):
+        """A finite but huge scale is refused before any corpus is built."""
+        recipe = dict(RECIPE, scale=scale)
+        status, payload = dispatch(service, "POST", "/sessions", body={"recipe": recipe})
+        assert status == 400
+        assert payload["error_type"] == "ConfigurationError"
+        assert "scale" in payload["error"]
         assert dispatch(service, "GET", "/sessions")[1]["sessions"] == []
 
     @pytest.mark.parametrize("after", ["x", "1.5", "-1"])

@@ -215,6 +215,20 @@ class TestConfigCli:
         assert main(["config", "validate", str(path)]) == 2
         assert "unknown strategy kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["mr", "conll-en"])
+    def test_over_cap_scale_exits_2(self, tmp_path, capsys, kind):
+        """A huge dataset scale fails validation before any corpus is built."""
+        from repro.cli import main
+
+        path = tmp_path / "experiment.json"
+        payload = _small_spec().to_dict()
+        payload["dataset"] = {"kind": kind, "params": {"scale": 1e300, "seed": 7}}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="scale"):
+            ExperimentSpec.from_file(path).validate()
+        assert main(["config", "validate", str(path)]) == 2
+        assert "scale must be in" in capsys.readouterr().err
+
     def test_run_config_matches_compare_flags(self, tmp_path, capsys):
         from repro.cli import main
 
